@@ -1,6 +1,7 @@
 #include "data/batch.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 namespace adaptraj {
@@ -94,6 +95,59 @@ Batch MakeBatch(const std::vector<const TrajectorySequence*>& sequences,
   out.fut_steps = std::move(fut_steps);
   out.fut_flat = std::move(fut_flat);
   out.endpoint = std::move(endpoint);
+  return out;
+}
+
+namespace {
+
+/// Gathers, for each index in `rows`, its block of `block_rows` tensor rows
+/// of `cols` floats from `src` into a new [rows.size() * block_rows, cols]
+/// tensor.
+Tensor GatherRowBlocks(const Tensor& src, const std::vector<int64_t>& rows,
+                       int64_t block_rows, int64_t cols) {
+  const int64_t n = static_cast<int64_t>(rows.size());
+  const int64_t block = block_rows * cols;
+  Tensor out = Tensor::Zeros({n * block_rows, cols});
+  for (int64_t i = 0; i < n; ++i) {
+    std::memcpy(out.data() + i * block, src.data() + rows[i] * block,
+                static_cast<size_t>(block) * sizeof(float));
+  }
+  return out;
+}
+
+}  // namespace
+
+Batch SelectRows(const Batch& batch, const std::vector<int64_t>& rows) {
+  const int64_t m = batch.max_neighbors;
+  Batch out;
+  out.batch_size = static_cast<int64_t>(rows.size());
+  out.max_neighbors = m;
+  out.obs_len = batch.obs_len;
+  out.pred_len = batch.pred_len;
+  out.domain_labels.reserve(rows.size());
+  for (int64_t r : rows) {
+    ADAPTRAJ_CHECK_MSG(r >= 0 && r < batch.batch_size,
+                       "SelectRows row " << r << " out of range for batch of "
+                                         << batch.batch_size);
+    out.domain_labels.push_back(batch.domain_labels[static_cast<size_t>(r)]);
+  }
+  out.obs_steps.reserve(batch.obs_steps.size());
+  for (const Tensor& step : batch.obs_steps) {
+    out.obs_steps.push_back(GatherRowBlocks(step, rows, 1, 2));
+  }
+  out.obs_flat = GatherRowBlocks(batch.obs_flat, rows, 1, batch.obs_len * 2);
+  out.nbr_steps.reserve(batch.nbr_steps.size());
+  for (const Tensor& step : batch.nbr_steps) {
+    out.nbr_steps.push_back(GatherRowBlocks(step, rows, m, 2));
+  }
+  out.nbr_offsets = GatherRowBlocks(batch.nbr_offsets, rows, m, 2);
+  out.nbr_mask = GatherRowBlocks(batch.nbr_mask, rows, 1, m);
+  out.fut_steps.reserve(batch.fut_steps.size());
+  for (const Tensor& step : batch.fut_steps) {
+    out.fut_steps.push_back(GatherRowBlocks(step, rows, 1, 2));
+  }
+  out.fut_flat = GatherRowBlocks(batch.fut_flat, rows, 1, batch.pred_len * 2);
+  out.endpoint = GatherRowBlocks(batch.endpoint, rows, 1, 2);
   return out;
 }
 

@@ -57,6 +57,12 @@ struct Batch {
 Batch MakeBatch(const std::vector<const TrajectorySequence*>& sequences,
                 const SequenceConfig& config, int64_t min_neighbor_slots = 1);
 
+/// Copies rows `rows` of `batch`, in that order, into a new batch with the
+/// same neighbor-slot width M. Every row is per-scene data, so the result is
+/// byte-identical to MakeBatch over those rows' scenes with
+/// min_neighbor_slots = batch.max_neighbors, without re-reading the scenes.
+Batch SelectRows(const Batch& batch, const std::vector<int64_t>& rows);
+
 /// Epoch iterator over a dataset with optional shuffling.
 class BatchLoader {
  public:

@@ -34,8 +34,44 @@
 //     weights-version counter moved (core::Method::weights_version — bumped
 //     by Train), covering in-place retraining of a live served method.
 //
+// Per-batch protocol (what the engine runs for every batch):
+//   1. BuildKeys — no lock. Serializes every row's key into one byte buffer
+//      of the caller-owned, reusable BatchKeys (all rows of a batch share
+//      one key length), hashes each key once with the seeded FNV-1a, and
+//      marks each row's representative: the first row with the same hash
+//      AND the same bytes (memcmp), so padding rows and in-batch repeats
+//      are looked up — and on a miss encoded — once.
+//   2. ProbeBatch — ONE mu_ round-trip: the weights-version check, then one
+//      lookup per representative row (bucket walk, full-key memcmp, LRU
+//      touch and value copy on a hit). Misses are listed in the BatchKeys.
+//      A test hasher (set_hasher_for_test) re-hashes the keys here, under
+//      mu_, because the override is guarded by it.
+//   3. AdmitBatch — outside mu_, copies each missed row's value and key
+//      into an entry block carrying the hash from step 1 (a key is never
+//      hashed twice); then ONE mu_ round-trip links the blocks, each after
+//      a presence check and the LRU evictions that make room for it.
+// Under mu_ the batch calls do only pointer work, key compares, hit copies
+// and the counters: no key serialization, no hashing (save under a test
+// hasher), no copy of a missed row, and once the cache is full no malloc
+// or free (the bucket array grows only while entries are added; a version
+// clear frees its blocks after unlock).
+// The per-row Lookup / Insert are one-row calls into the same locked
+// helpers; they hash under mu_ and allocate one block per Insert.
+//
+// Storage: each entry is ONE heap block — header (LRU and bucket-chain
+// links, hash, sizes) followed by the value floats and the key bytes — on
+// an intrusive LRU list and an intrusive chained hash table whose bucket
+// array doubles as entries grow (never sized from the byte budget). An
+// admit at the byte budget hands the blocks it evicts to its BatchKeys,
+// whose next admits refill them: a block is reused when its capacity is at
+// least the new entry's size and at most 256 bytes more (fresh blocks are
+// sized exactly), so a full cache serving same-shaped scenes runs without
+// heap traffic. A BatchKeys keeps a bounded number of spare blocks and
+// frees the oldest. The budget charge is unchanged: key bytes + value
+// bytes + kEntryOverheadBytes per entry, whatever the block's capacity.
+//
 // Thread safety: every public method is mutex-guarded; concurrent batches
-// may race a miss for the same key and both encode it — the second Insert
+// may race a miss for the same key and both encode it — the second admit
 // finds the key present and is dropped. Because the cached value equals the
 // recomputed value bit-exactly, lookup/insert interleaving can never change
 // served bytes.
@@ -48,11 +84,10 @@
 #ifndef ADAPTRAJ_SERVE_ENCODE_CACHE_H_
 #define ADAPTRAJ_SERVE_ENCODE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/batch.h"
@@ -87,7 +122,7 @@ struct EncodeCacheOptions {
 
 /// Counters and gauges; snapshot under the cache mutex.
 struct EncodeCacheStats {
-  int64_t lookups = 0;        // Lookup calls
+  int64_t lookups = 0;        // rows probed (Lookup calls + distinct batch rows)
   int64_t hits = 0;           // full-key matches served from the cache
   int64_t misses = 0;         // lookups that found no matching key
   int64_t insertions = 0;     // entries admitted
@@ -103,8 +138,73 @@ struct EncodeCacheStats {
 /// Content-addressed LRU cache from encoder-input bytes to the packed
 /// encoder output row ([hidden_dim + social_dim] floats).
 class EncodeCache {
+  struct Entry;
+
  public:
+  /// One batch's keys, built by BuildKeys and consumed by ProbeBatch and
+  /// AdmitBatch. Caller-owned and meant to be reused across batches: its
+  /// buffers only grow, so steady traffic builds keys without heap traffic.
+  /// Not thread-safe; use one per thread.
+  class BatchKeys {
+   public:
+    BatchKeys() = default;
+    ~BatchKeys();
+    BatchKeys(const BatchKeys&) = delete;
+    BatchKeys& operator=(const BatchKeys&) = delete;
+
+    int64_t rows() const { return rows_; }
+    size_t key_size() const { return key_size_; }
+    const char* key(int64_t row) const {
+      return bytes_.data() + static_cast<size_t>(row) * key_size_;
+    }
+    /// First row whose key bytes equal row `row`'s (`row` itself if none).
+    int64_t representative(int64_t row) const {
+      return representative_[static_cast<size_t>(row)];
+    }
+    /// Representative rows the last ProbeBatch missed, ascending.
+    const std::vector<int64_t>& miss_rows() const { return miss_rows_; }
+
+   private:
+    friend class EncodeCache;
+    int64_t rows_ = 0;
+    size_t key_size_ = 0;
+    std::vector<char> bytes_;
+    std::vector<uint64_t> hashes_;
+    std::vector<int64_t> representative_;
+    std::vector<int64_t> miss_rows_;
+    /// Entry blocks AdmitBatch filled outside mu_ and links under it.
+    std::vector<Entry*> filled_;
+    /// Blocks of entries this caller's admits evicted (or found already
+    /// present), refilled by its next admit; bounded, oldest freed first.
+    std::vector<Entry*> spare_;
+  };
+
   explicit EncodeCache(EncodeCacheOptions options);
+  ~EncodeCache();
+  EncodeCache(const EncodeCache&) = delete;
+  EncodeCache& operator=(const EncodeCache&) = delete;
+
+  /// Serializes the key of every row of `batch` (see SceneEncodeKey) into
+  /// `keys`, hashes each once, and resolves in-batch duplicates. Lock-free:
+  /// reads only the immutable options.
+  void BuildKeys(const data::Batch& batch, bool include_neighbors,
+                 BatchKeys* keys) const;
+
+  /// One lock round-trip: InvalidateIfVersionChanged(weights_version), then
+  /// one lookup per representative row. A hit copies the row's value into
+  /// out[row * width, (row + 1) * width) and touches the entry to the LRU
+  /// front; misses are listed in keys->miss_rows(). Rows that are not
+  /// their own representative are neither probed nor written. Returns the
+  /// number of hits.
+  int64_t ProbeBatch(int64_t weights_version, BatchKeys* keys, float* out,
+                     int64_t width) ADAPTRAJ_EXCLUDES(mu_);
+
+  /// Admits values[row * width, (row + 1) * width) under the key of every
+  /// row in keys->miss_rows(), as Insert does. Keys and values are copied
+  /// into entry blocks before the lock (into blocks this BatchKeys's earlier
+  /// admits evicted, when they fit); one lock round-trip then links them.
+  void AdmitBatch(BatchKeys* keys, const float* values, int64_t width)
+      ADAPTRAJ_EXCLUDES(mu_);
 
   /// Copies the cached row for `key` into out[0, width) and returns true;
   /// false on miss. Touches the entry to the LRU front on hit.
@@ -136,27 +236,45 @@ class EncodeCache {
       ADAPTRAJ_EXCLUDES(mu_);
 
  private:
-  struct Entry {
-    uint64_t hash = 0;
-    std::string key;
-    std::vector<float> value;
-  };
-
-  /// Reads hasher_override_, which set_hasher_for_test writes under mu_ —
-  /// so hashing happens inside the critical section, not before it.
-  uint64_t HashKey(const std::string& key) const ADAPTRAJ_REQUIRES(mu_);
-  int64_t EntryBytes(const Entry& entry) const;
-  /// Removes `it` from the index and the LRU list.
-  void EraseLocked(std::list<Entry>::iterator it) ADAPTRAJ_REQUIRES(mu_);
+  /// Hash of key bytes under the test override when one is set, else the
+  /// seeded FNV-1a. Reads hasher_override_, which set_hasher_for_test
+  /// writes under mu_ — so this runs inside the critical section.
+  uint64_t HashLocked(const char* key, size_t size) const ADAPTRAJ_REQUIRES(mu_);
+  /// Entry with exactly these key bytes, or null; counts same-hash entries
+  /// with other bytes into `conflicts`.
+  Entry* FindLocked(const char* key, size_t size, uint64_t hash, int64_t* conflicts)
+      ADAPTRAJ_REQUIRES(mu_);
+  /// Lookup body: counts the probe, copies and touches on a hit.
+  bool LookupLocked(const char* key, size_t size, uint64_t hash, float* out,
+                    int64_t width) ADAPTRAJ_REQUIRES(mu_);
+  /// Insert body: links the filled `block` unless its key is present or it
+  /// alone exceeds the budget, evicting LRU entries until the budget holds.
+  /// Evicted blocks, and `block` when not linked, go to `spare`; nothing is
+  /// allocated or freed under mu_.
+  void AdmitLocked(Entry* block, std::vector<Entry*>* spare) ADAPTRAJ_REQUIRES(mu_);
+  /// Clears (blocks to `stale`, freed by the caller after mu_) when
+  /// `version` is not the adopted one.
+  void InvalidateIfVersionChangedLocked(int64_t version, std::vector<Entry*>* stale)
+      ADAPTRAJ_REQUIRES(mu_);
+  /// Unlinks every entry and hands its block to `retired`.
+  void ClearLocked(std::vector<Entry*>* retired) ADAPTRAJ_REQUIRES(mu_);
+  /// Removes `entry` from the index and the LRU list (storage untouched).
+  void UnlinkLocked(Entry* entry) ADAPTRAJ_REQUIRES(mu_);
+  void LinkLocked(Entry* entry) ADAPTRAJ_REQUIRES(mu_);
+  Entry** BucketLocked(uint64_t hash) ADAPTRAJ_REQUIRES(mu_);
+  /// Doubles the bucket array once entries outnumber buckets.
+  void MaybeGrowLocked() ADAPTRAJ_REQUIRES(mu_);
+  static void FreeAll(std::vector<Entry*>* blocks);
 
   /// Immutable after construction; readable without mu_.
   EncodeCacheOptions options_;
   mutable support::Mutex mu_;
-  /// MRU-first recency list owning the entries.
-  std::list<Entry> lru_ ADAPTRAJ_GUARDED_BY(mu_);
-  /// Hash -> entries with that hash (several after a collision).
-  std::unordered_multimap<uint64_t, std::list<Entry>::iterator> index_
-      ADAPTRAJ_GUARDED_BY(mu_);
+  /// Intrusive MRU-first recency list over the owned entry blocks.
+  Entry* lru_head_ ADAPTRAJ_GUARDED_BY(mu_) = nullptr;
+  Entry* lru_tail_ ADAPTRAJ_GUARDED_BY(mu_) = nullptr;
+  /// Chained hash index (power-of-two size, high bits of a mixed hash).
+  std::vector<Entry*> buckets_ ADAPTRAJ_GUARDED_BY(mu_);
+  int bucket_shift_ ADAPTRAJ_GUARDED_BY(mu_) = 64;
   EncodeCacheStats stats_ ADAPTRAJ_GUARDED_BY(mu_);
   int64_t weights_version_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
   bool has_weights_version_ ADAPTRAJ_GUARDED_BY(mu_) = false;
@@ -173,7 +291,8 @@ class EncodeCache {
 /// scene; core::Method::encode_reads_neighbors() == false) get shorter keys
 /// and legitimately higher hit rates. Padded neighbor slots hash as their
 /// zero bytes, making M part of the key content: a scene cached at one slot
-/// width misses at another — conservative, never wrong.
+/// width misses at another — conservative, never wrong. Byte-identical to
+/// the row keys EncodeCache::BuildKeys serializes.
 std::string SceneEncodeKey(const std::string& identity, const data::Batch& batch,
                            int64_t row, bool include_neighbors);
 

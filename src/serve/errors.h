@@ -17,7 +17,8 @@
 // Library policy note (tensor/status.h): programming errors still hit
 // ADAPTRAJ_CHECK and abort. ServeError covers *operational* conditions —
 // outcomes a correctly written caller can provoke at runtime through load,
-// timing, or lifecycle — which must never take down a server.
+// timing, lifecycle, or the content of a request — which must never take
+// down a server.
 
 #ifndef ADAPTRAJ_SERVE_ERRORS_H_
 #define ADAPTRAJ_SERVE_ERRORS_H_
@@ -58,6 +59,16 @@ class DeadlineExceededError : public ServeError {
 class EngineStoppedError : public ServeError {
  public:
   explicit EngineStoppedError(const std::string& what) : ServeError(what) {}
+};
+
+/// The request itself is malformed — a scene whose focal track or a
+/// neighbor track does not have the engine's window length, or a negative
+/// SubmitOptions::timeout_ms. Rejected at Submit, before it is queued, so
+/// it can never fail or delay a batch-mate; counted in
+/// InferenceEngineStats::invalid_requests. Fix the request; do not retry it.
+class InvalidRequestError : public ServeError {
+ public:
+  explicit InvalidRequestError(const std::string& what) : ServeError(what) {}
 };
 
 }  // namespace serve

@@ -6,7 +6,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,6 +51,32 @@ bool EncodeCacheResolvedOn(EncodeCacheMode mode) {
     case EncodeCacheMode::kAuto: return EncodeCacheEnabledByEnv();
   }
   return false;
+}
+
+/// Why a request cannot be served (empty when it can): the checks that keep
+/// a malformed scene out of MakeBatch, whose length checks abort.
+std::string RequestError(const data::TrajectorySequence& scene,
+                         const SubmitOptions& submit_options,
+                         const data::SequenceConfig& sequence) {
+  if (submit_options.timeout_ms < 0) {
+    return "Submit timeout_ms must be >= 0; got " +
+           std::to_string(submit_options.timeout_ms);
+  }
+  const size_t total_len = static_cast<size_t>(sequence.total_len());
+  if (scene.focal.size() != total_len) {
+    return "scene focal track has " + std::to_string(scene.focal.size()) +
+           " points; the engine's window needs obs_len + pred_len = " +
+           std::to_string(total_len);
+  }
+  const size_t obs_len = static_cast<size_t>(sequence.obs_len);
+  for (size_t m = 0; m < scene.neighbors.size(); ++m) {
+    if (scene.neighbors[m].size() != obs_len) {
+      return "scene neighbor " + std::to_string(m) + " has " +
+             std::to_string(scene.neighbors[m].size()) +
+             " points; the engine's window needs obs_len = " + std::to_string(obs_len);
+    }
+  }
+  return std::string();
 }
 
 }  // namespace
@@ -188,9 +213,18 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
                                                 uint64_t request_id,
                                                 const data::TrajectorySequence& scene,
                                                 const SubmitOptions& submit_options) {
-  ADAPTRAJ_CHECK_MSG(submit_options.timeout_ms >= 0,
-                     "Submit timeout_ms must be >= 0; got "
-                         << submit_options.timeout_ms);
+  // Validated before mu_ is taken: a malformed scene would otherwise abort
+  // the process inside MakeBatch on the dispatcher, taking its batch-mates
+  // (and every queued request) with it.
+  const std::string invalid = RequestError(scene, submit_options, options_.sequence);
+  if (!invalid.empty()) {
+    {
+      support::MutexLock lock(mu_);
+      ++stats_.requests;
+      ++stats_.invalid_requests;
+    }
+    return FailedFuture(std::make_exception_ptr(InvalidRequestError(invalid)));
+  }
   std::future<Tensor> future;
   {
     support::MutexLock lock(mu_);
@@ -482,7 +516,7 @@ void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
     }
     data::Batch batch = data::MakeBatch(slots, options_.sequence);
     Rng rng(core::TaskSeed(options_.seed, rb->index));
-    Tensor pred = PredictThroughCache(batch, slots, method, master, &rng);
+    Tensor pred = PredictThroughCache(batch, method, master, &rng);
     rb->results.assign(rows, Tensor());
     for (size_t r : live) {
       // Slice copies the row into fresh storage, and under no-grad attaches
@@ -502,84 +536,55 @@ void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
   rb->exec_seconds = Seconds(t0, Clock::now());
 }
 
-Tensor InferenceEngine::PredictThroughCache(
-    const data::Batch& batch,
-    const std::vector<const data::TrajectorySequence*>& slots,
-    const core::Method* method, const core::Method* master, Rng* rng) const {
+Tensor InferenceEngine::PredictThroughCache(const data::Batch& batch,
+                                            const core::Method* method,
+                                            const core::Method* master, Rng* rng) const {
   if (encode_cache_ == nullptr || batch.batch_size == 0) {
     return method->Predict(batch, rng, options_.sample);
   }
+  const int64_t width = method->predict_encode_width();
+  const int64_t rows = batch.batch_size;
+  Tensor enc_rows = Tensor::Zeros({rows, width});
+
+  // One key per row, serialized into a per-thread buffer that steady traffic
+  // reuses; duplicate keys (padding cycles the live scenes, and identical
+  // scenes can land in one batch) resolve to a representative row, so each
+  // distinct encoder input is looked up — and on a miss, encoded — once.
+  thread_local EncodeCache::BatchKeys keys;
+  encode_cache_->BuildKeys(batch, method->encode_reads_neighbors(), &keys);
   // Version of the served MASTER, not the per-batch replica: replicas are
   // structural clones whose counter stays 0, while an in-place Train() on a
   // live served method — the staleness this guards against — bumps the
   // master's. Concurrent batches pass the same value; the first clears.
   // `master` is the dispatcher's under-mu_ capture of method_, stable for
   // the whole group (SwapWeights flips only at a batch boundary).
-  encode_cache_->InvalidateIfVersionChanged(master->weights_version());
-
-  const int64_t width = method->predict_encode_width();
-  const int64_t rows = batch.batch_size;
-  const bool with_neighbors = method->encode_reads_neighbors();
-  const std::string& identity = encode_cache_->options().identity;
-  Tensor enc_rows = Tensor::Zeros({rows, width});
-
-  // One key per row; duplicate keys (padding cycles the live scenes, and
-  // identical scenes can land in one batch) are resolved to a single
-  // representative row so each distinct encoder input is looked up — and on
-  // a miss, encoded — exactly once per batch.
-  std::vector<std::string> keys(static_cast<size_t>(rows));
-  std::unordered_map<std::string, int64_t> first_of_key;
-  first_of_key.reserve(static_cast<size_t>(rows));
-  std::vector<std::pair<int64_t, int64_t>> aliases;  // (row, representative)
-  std::vector<int64_t> miss_rows;                    // representatives to encode
-  int64_t hit_count = 0;
-  for (int64_t r = 0; r < rows; ++r) {
-    keys[r] = SceneEncodeKey(identity, batch, r, with_neighbors);
-    auto inserted = first_of_key.emplace(keys[r], r);
-    if (!inserted.second) {
-      aliases.emplace_back(r, inserted.first->second);
-      continue;
-    }
-    if (encode_cache_->Lookup(keys[r], enc_rows.data() + r * width, width)) {
-      ++hit_count;
-    } else {
-      miss_rows.push_back(r);
-    }
-  }
+  encode_cache_->ProbeBatch(master->weights_version(), &keys, enc_rows.data(), width);
+  const std::vector<int64_t>& miss_rows = keys.miss_rows();
 
   if (!miss_rows.empty()) {
-    if (hit_count == 0 && aliases.empty()) {
+    if (static_cast<int64_t>(miss_rows.size()) == rows) {
       // Nothing cached and every row distinct: encode the original batch
       // directly — the cold-traffic path costs no re-batching over an
       // uncached engine.
       enc_rows = method->PredictEncode(batch);
     } else {
-      // Re-batch only the unseen scenes, padded to the full batch's
+      // Encode only the unseen rows, copied out of the batch at its
       // neighbor-slot width so each sub-batch row is byte-identical to its
       // key (row r of Encode(sub-batch) == row r of Encode(full batch) at
       // equal bytes and equal M — the per-row purity contract).
-      std::vector<const data::TrajectorySequence*> miss_slots;
-      miss_slots.reserve(miss_rows.size());
-      for (int64_t r : miss_rows) {
-        miss_slots.push_back(slots[static_cast<size_t>(r)]);
-      }
-      data::Batch miss_batch = data::MakeBatch(miss_slots, options_.sequence,
-                                               batch.max_neighbors);
-      Tensor packed = method->PredictEncode(miss_batch);
+      Tensor packed = method->PredictEncode(data::SelectRows(batch, miss_rows));
       for (size_t i = 0; i < miss_rows.size(); ++i) {
         std::memcpy(enc_rows.data() + miss_rows[i] * width,
                     packed.data() + static_cast<int64_t>(i) * width,
                     static_cast<size_t>(width) * sizeof(float));
       }
     }
-    for (int64_t r : miss_rows) {
-      encode_cache_->Insert(keys[static_cast<size_t>(r)],
-                            enc_rows.data() + r * width, width);
-    }
+    encode_cache_->AdmitBatch(&keys, enc_rows.data(), width);
   }
-  for (const auto& alias : aliases) {
-    std::memcpy(enc_rows.data() + alias.first * width,
-                enc_rows.data() + alias.second * width,
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t rep = keys.representative(r);
+    if (rep == r) continue;
+    std::memcpy(enc_rows.data() + r * width, enc_rows.data() + rep * width,
                 static_cast<size_t>(width) * sizeof(float));
   }
   return method->PredictDecode(batch, enc_rows, rng, options_.sample);

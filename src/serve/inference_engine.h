@@ -68,6 +68,10 @@
 //     began executing always runs to completion, deadline notwithstanding.
 //   - EngineStoppedError: shutdown/destruction reached the request first
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
+//   - InvalidRequestError: the request is malformed (a focal or neighbor
+//     track of the wrong length, a negative timeout_ms). Checked at Submit
+//     before the request is queued, so it never reaches tensorization and
+//     never fails a batch-mate; counted in invalid_requests.
 //   - ServeError: an explicit id that lost the race against a deadline
 //     flush, or was stranded behind a slot hole the flush padded past.
 //   - Application errors: Predict / MakeBatch / allocation failures inside a
@@ -82,8 +86,8 @@
 // unbounded, the legacy behaviour). On overflow, OverflowPolicy::kShed fails
 // the new request fast with OverloadedError — sustained 2x overload then
 // holds memory at the bound and sheds the excess, with every submission
-// accounted: requests == fulfilled + shed + expired + rejected + rows of
-// failed batches (see InferenceEngineStats). kBlock instead parks the
+// accounted: requests == fulfilled + shed + expired + rejected + invalid +
+// rows of failed batches (see InferenceEngineStats). kBlock instead parks the
 // submitter until the dispatcher retires queue entries (classic
 // backpressure; prefer implicit ids or an enabled deadline flush with
 // kBlock — a blocked explicit-id producer whose own ids are needed to
@@ -146,8 +150,10 @@
 // (options.encode_cache, kAuto following ADAPTRAJ_ENCODE_CACHE), the engine
 // keys every batch row by its encoder-input bytes in a serve::EncodeCache
 // and runs the encoder only for rows it has never seen: cached rows are
-// gathered, miss rows are encoded in a sub-batch padded to the same
-// neighbor-slot width, and the decode half runs over the full batch. Served
+// gathered, miss rows are encoded in a sub-batch copied out of the batch at
+// the same neighbor-slot width, and the decode half runs over the full
+// batch. A batch costs one cache-lock round-trip to probe and one to admit
+// its misses (see the per-batch protocol in serve/encode_cache.h). Served
 // bytes are IDENTICAL with the cache on or off — the cache stores exact
 // encoder outputs keyed by exact encoder inputs, and every kernel is
 // bit-deterministic (see serve/encode_cache.h for the correctness model).
@@ -259,8 +265,9 @@ struct SubmitOptions {
 /// Values are a coherent snapshot taken under the engine mutex (see
 /// InferenceEngine::stats). Disposition accounting: every submission lands
 /// in exactly one of {fulfilled, shed_requests, expired_requests,
-/// rejected_requests, stopped_requests, rows of failed batches}, so
-/// fulfilled = requests - shed - expired - rejected - stopped - failed rows.
+/// rejected_requests, stopped_requests, invalid_requests, rows of failed
+/// batches}, so fulfilled = requests - shed - expired - rejected - stopped -
+/// invalid - failed rows.
 struct InferenceEngineStats {
   int64_t requests = 0;          // Submit calls, accepted or not
   int64_t batches = 0;           // batches executed (including failed ones)
@@ -277,6 +284,8 @@ struct InferenceEngineStats {
   int64_t expired_requests = 0;
   /// Queued requests failed by Shutdown()/destruction before execution.
   int64_t stopped_requests = 0;
+  /// Malformed requests refused at Submit (InvalidRequestError).
+  int64_t invalid_requests = 0;
   /// Execution groups that exceeded stuck_batch_warn_ms (one per group).
   int64_t stuck_batches = 0;
   /// SwapWeights flips completed.
@@ -471,14 +480,11 @@ class InferenceEngine {
   void RunOneBatch(ReadyBatch* rb, const core::Method* method,
                    const core::Method* master) const;
   /// Predict with the encoder cache in front of the Encode half: gathers
-  /// cached rows, encodes only unseen rows (in a sub-batch padded to the
-  /// full batch's neighbor-slot width), and decodes the full batch. Falls
-  /// back to the combined Predict when the cache is off. `slots` is the
-  /// padded scene-pointer row list the batch was built from.
-  Tensor PredictThroughCache(const data::Batch& batch,
-                             const std::vector<const data::TrajectorySequence*>& slots,
-                             const core::Method* method, const core::Method* master,
-                             Rng* rng) const;
+  /// cached rows, encodes only unseen rows (in a sub-batch copied out of
+  /// `batch` at its neighbor-slot width), and decodes the full batch. Falls
+  /// back to the combined Predict when the cache is off.
+  Tensor PredictThroughCache(const data::Batch& batch, const core::Method* method,
+                             const core::Method* master, Rng* rng) const;
   /// Builds the replica pool an engine over `method` needs (null when the
   /// method is reentrant or pooling is disabled/impossible).
   std::unique_ptr<ReplicaPool> MakeReplicaPool(const core::Method* method) const;

@@ -2,6 +2,7 @@
 
 #include "data/batch.h"
 
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -124,6 +125,37 @@ TEST(MakeBatchTest, DomainLabelsCarriedThrough) {
   ASSERT_EQ(batch.domain_labels.size(), 2u);
   EXPECT_EQ(batch.domain_labels[0], 2);
   EXPECT_EQ(batch.domain_labels[1], 0);
+}
+
+TEST(SelectRowsTest, ByteIdenticalToMakeBatchOfTheSubsetAtTheSameWidth) {
+  SequenceConfig cfg;
+  auto a = LineSequence(0.3f, 0.0f, cfg, 3);
+  auto b = LineSequence(0.2f, 1.0f, cfg, 0);
+  auto c = LineSequence(0.5f, -1.0f, cfg, 1);
+  c.domain_label = 2;
+  Batch batch = MakeBatch({&a, &b, &c}, cfg);
+  const std::vector<int64_t> rows = {2, 1};
+  Batch got = SelectRows(batch, rows);
+  Batch want = MakeBatch({&c, &b}, cfg, batch.max_neighbors);
+  EXPECT_EQ(got.batch_size, want.batch_size);
+  EXPECT_EQ(got.max_neighbors, want.max_neighbors);
+  EXPECT_EQ(got.domain_labels, want.domain_labels);
+  auto same = [](const Tensor& x, const Tensor& y) {
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(), static_cast<size_t>(x.size()) * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same(got.obs_flat, want.obs_flat));
+  EXPECT_TRUE(same(got.nbr_offsets, want.nbr_offsets));
+  EXPECT_TRUE(same(got.nbr_mask, want.nbr_mask));
+  EXPECT_TRUE(same(got.fut_flat, want.fut_flat));
+  EXPECT_TRUE(same(got.endpoint, want.endpoint));
+  for (int t = 0; t < cfg.obs_len; ++t) {
+    EXPECT_TRUE(same(got.obs_steps[t], want.obs_steps[t])) << "step " << t;
+    EXPECT_TRUE(same(got.nbr_steps[t], want.nbr_steps[t])) << "step " << t;
+  }
+  for (int t = 0; t < cfg.pred_len; ++t) {
+    EXPECT_TRUE(same(got.fut_steps[t], want.fut_steps[t])) << "step " << t;
+  }
 }
 
 TEST(BatchLoaderTest, CoversEverySequenceOncePerEpoch) {

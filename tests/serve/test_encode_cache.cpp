@@ -6,6 +6,7 @@
 // Unit tests pin the collision-safety byte compare and the LRU byte budget;
 // engine tests drive real multi-producer traffic.
 
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -175,6 +176,115 @@ TEST(EncodeCacheUnit, SceneKeysSeparateRowsAndNeighborWidths) {
             SceneEncodeKey("id", wide, 0, false));
 }
 
+TEST(EncodeCacheUnit, BatchKeysMatchPerRowKeysAndResolveDuplicates) {
+  auto scenes = Scenes(3);
+  data::SequenceConfig cfg;
+  // Rows 3 and 4 repeat rows 0 and 1, as padding and repeated scenes do.
+  std::vector<const data::TrajectorySequence*> ptrs = {&scenes[0], &scenes[1], &scenes[2],
+                                                       &scenes[0], &scenes[1]};
+  data::Batch batch = data::MakeBatch(ptrs, cfg);
+  EncodeCacheOptions opts;
+  opts.identity = "id";
+  EncodeCache cache(opts);
+  EncodeCache::BatchKeys keys;
+  for (bool with_neighbors : {true, false}) {
+    cache.BuildKeys(batch, with_neighbors, &keys);
+    ASSERT_EQ(keys.rows(), batch.batch_size);
+    for (int64_t r = 0; r < batch.batch_size; ++r) {
+      const std::string want = SceneEncodeKey("id", batch, r, with_neighbors);
+      EXPECT_EQ(std::string(keys.key(r), keys.key_size()), want) << "row " << r;
+    }
+    EXPECT_EQ(keys.representative(0), 0);
+    EXPECT_EQ(keys.representative(2), 2);
+    EXPECT_EQ(keys.representative(3), 0);
+    EXPECT_EQ(keys.representative(4), 1);
+  }
+}
+
+TEST(EncodeCacheUnit, ConcurrentBatchProbeAndAdmitStayConsistent) {
+  // Four threads probe and admit overlapping batches through one cache whose
+  // every key shares one hash (so each probe walks the collision chain and
+  // byte-compares), under a budget of a third of the distinct entries (so
+  // admits evict and reuse victims' storage), with in-batch duplicates. A
+  // hit must always return the value admitted for its own key.
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 150;
+  constexpr int kRows = 6;
+  constexpr int kDistinctScenes = 24;
+  constexpr int64_t kWidth = 8;
+  const data::TrajectorySequence base = Scenes(1)[0];
+  data::SequenceConfig cfg;
+  // Scene `id` differs from the base in one observed displacement, so every
+  // id has its own key; its cached value is a function of the id.
+  auto make_scene = [&](int id) {
+    data::TrajectorySequence s = base;
+    s.focal[1].x += 0.01f * static_cast<float>(id + 1);
+    return s;
+  };
+  auto value_of = [](int id, int64_t j) { return static_cast<float>(id * 100 + j); };
+
+  EncodeCacheOptions opts;
+  opts.identity = "concurrent";
+  {
+    // Budget for 8 of the 24 distinct entries: learn the entry size from one key.
+    std::vector<data::TrajectorySequence> one = {make_scene(0)};
+    std::vector<const data::TrajectorySequence*> ptr = {&one[0]};
+    const std::string key = SceneEncodeKey(opts.identity, data::MakeBatch(ptr, cfg), 0, true);
+    opts.max_bytes = 8 * (static_cast<int64_t>(key.size()) + kWidth * 4 + 128);
+  }
+  EncodeCache cache(opts);
+  cache.set_hasher_for_test([](const std::string&) { return 7ull; });
+
+  std::atomic<int64_t> wrong_values{0};
+  std::atomic<int64_t> batch_hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EncodeCache::BatchKeys keys;
+      for (int i = 0; i < kIterations; ++i) {
+        std::vector<int> ids(kRows);
+        std::vector<data::TrajectorySequence> rows;
+        for (int r = 0; r < kRows; ++r) {
+          // The last row repeats the first: an in-batch duplicate.
+          ids[r] = r == kRows - 1 ? ids[0] : (t * 5 + i * 3 + r * 7) % kDistinctScenes;
+          rows.push_back(make_scene(ids[r]));
+        }
+        std::vector<const data::TrajectorySequence*> ptrs;
+        for (const auto& s : rows) ptrs.push_back(&s);
+        const data::Batch batch = data::MakeBatch(ptrs, cfg);
+        cache.BuildKeys(batch, true, &keys);
+        std::vector<float> out(kRows * kWidth, -1.0f);
+        batch_hits += cache.ProbeBatch(/*weights_version=*/0, &keys, out.data(), kWidth);
+        std::vector<bool> missed(kRows, false);
+        for (int64_t r : keys.miss_rows()) missed[r] = true;
+        for (int r = 0; r < kRows; ++r) {
+          if (keys.representative(r) != r) continue;
+          for (int64_t j = 0; j < kWidth; ++j) {
+            if (missed[r]) {
+              out[r * kWidth + j] = value_of(ids[r], j);
+            } else if (out[r * kWidth + j] != value_of(ids[r], j)) {
+              ++wrong_values;
+            }
+          }
+        }
+        cache.AdmitBatch(&keys, out.data(), kWidth);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(wrong_values.load(), 0);
+  const EncodeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+  EXPECT_EQ(stats.hits, batch_hits.load());
+  // Duplicates are probed once: 5 distinct rows of 6 per batch.
+  EXPECT_EQ(stats.lookups, int64_t{kThreads} * kIterations * (kRows - 1));
+  EXPECT_LE(stats.bytes, opts.max_bytes);
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_GT(stats.hash_conflicts, 0);
+}
+
 // --- Method-level split contract --------------------------------------------
 
 TEST(EncodeSplit, DecodeOfEncodeMatchesCombinedPredictBitExactly) {
@@ -285,6 +395,35 @@ TEST(EncodeCacheServing, CacheOnBitIdenticalToCacheOffAcrossMethods) {
     EncodeCacheStats stats = engine.stats().encode_cache;
     EXPECT_GT(stats.hits, 0) << c.label;
     EXPECT_GT(stats.insertions, 0) << c.label;
+
+    // One more batch on the warm engine mixing a hit, a miss, an in-batch
+    // duplicate of the miss and a padded tail. The hit is the scene with the
+    // most neighbors of the second batch, so this batch has that batch's
+    // neighbor-slot width (M is part of the key) and the scene is cached.
+    size_t widest = 4;
+    for (size_t i = 5; i < 8; ++i) {
+      if (scenes[i].neighbors.size() > scenes[widest].neighbors.size()) widest = i;
+    }
+    data::TrajectorySequence novel = scenes[widest];
+    novel.focal[1].x += 0.125f;  // a new observed displacement: a new key
+    const std::vector<data::TrajectorySequence> mixed = {scenes[widest], novel, novel};
+    auto mixed_schedule = full_schedule;
+    mixed_schedule.insert(mixed_schedule.end(), mixed.begin(), mixed.end());
+    auto mixed_off = Serve(*c.method, mixed_schedule, Options(4, EncodeCacheMode::kOff));
+    std::vector<std::future<Tensor>> mixed_futures;
+    for (const auto& s : mixed) mixed_futures.push_back(engine.Submit(s));
+    engine.Drain();
+    std::vector<std::vector<float>> mixed_got;
+    for (auto& f : mixed_futures) {
+      Tensor t = f.get();
+      mixed_got.emplace_back(t.data(), t.data() + t.size());
+    }
+    ExpectAllEqual({mixed_off.end() - 3, mixed_off.end()}, mixed_got, c.label + " mixed");
+    const EncodeCacheStats after = engine.stats().encode_cache;
+    // Rows: hit, miss, duplicate of the miss, padding (a copy of the hit).
+    EXPECT_EQ(after.lookups - stats.lookups, 2) << c.label;
+    EXPECT_EQ(after.hits - stats.hits, 1) << c.label;
+    EXPECT_EQ(after.insertions - stats.insertions, 1) << c.label;
   }
 }
 

@@ -250,6 +250,55 @@ TEST(InferenceEngineTest, LbebmServesSeriallyAndDeterministically) {
   ExpectAllEqual(w1, w4);
 }
 
+// --- Malformed requests -------------------------------------------------------
+
+TEST(InferenceEngineTest, MalformedRequestsFailTypedWithoutHurtingBatchMates) {
+  // One bad and one good scene sent to one batch: the bad request fails
+  // through its future with InvalidRequestError (never reaching MakeBatch,
+  // whose length check would abort the dispatcher), the good one is served
+  // bit-identically to a solo run, and the engine keeps serving.
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  auto scenes = Scenes(2);
+  const auto solo = Serve(method, {scenes[0]}, Options(/*batch_size=*/2));
+
+  data::TrajectorySequence short_focal = scenes[1];
+  short_focal.focal.pop_back();
+  data::TrajectorySequence long_neighbor = scenes[1];
+  long_neighbor.neighbors.push_back(long_neighbor.focal);  // obs_len + pred_len points
+  SubmitOptions negative_timeout;
+  negative_timeout.timeout_ms = -1;
+
+  InferenceEngine engine(&method, Options(/*batch_size=*/2));
+  std::vector<std::future<Tensor>> bad;
+  bad.push_back(engine.Submit(short_focal));
+  std::future<Tensor> good = engine.Submit(scenes[0]);
+  bad.push_back(engine.Submit(long_neighbor));
+  bad.push_back(engine.Submit(scenes[1], negative_timeout));
+  engine.Drain();
+  for (auto& f : bad) EXPECT_THROW(f.get(), InvalidRequestError);
+  Tensor t = good.get();
+  ExpectAllEqual(solo, {{t.data(), t.data() + t.size()}});
+
+  // Still serving: a full batch after the rejections matches its reference.
+  std::vector<std::future<Tensor>> after;
+  for (const auto& s : scenes) after.push_back(engine.Submit(s));
+  engine.Drain();
+  std::vector<std::vector<float>> got;
+  for (auto& f : after) {
+    Tensor r = f.get();
+    got.emplace_back(r.data(), r.data() + r.size());
+  }
+  std::vector<data::TrajectorySequence> schedule = {scenes[0], scenes[0]};
+  schedule.insert(schedule.end(), scenes.begin(), scenes.end());
+  const auto reference = Serve(method, schedule, Options(/*batch_size=*/2));
+  ExpectAllEqual({reference[2], reference[3]}, got);
+
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.invalid_requests, 3);
+  EXPECT_EQ(stats.requests, 6);
+  EXPECT_EQ(stats.failed_batches, 0);
+}
+
 // --- API misuse --------------------------------------------------------------
 
 TEST(InferenceEngineDeathTest, DuplicateRequestIdDies) {
