@@ -351,8 +351,8 @@ void BM_GemmKernel(benchmark::State& state) {
   SetGemmCounters(state, 1, m, n, k);
 }
 
-/// Same shapes with the portable 4x16 kernel forced, so one bench run shows
-/// the micro-kernel speedup in-binary (compare against BM_GemmKernel).
+/// Same shapes with the portable tile forced, so one bench run shows the
+/// AVX-512 tile's speedup in-binary (compare against BM_GemmKernel).
 void BM_GemmKernelPortable(benchmark::State& state) {
   const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
   Rng rng(19);
@@ -400,6 +400,39 @@ void BM_GemmSliceLoopKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * m * n * k);
+}
+
+// --- Raw kernel: PlanGemm at the serving engine's hot shapes -----------------
+
+/// The plan replay's fused GEMM over pre-packed weights, on the path the plan
+/// would pack for. Arg 0: the LSTM gate dual product x·Wx + h·Wh + b,
+/// 64x(16+32)->128 (the AVX-512 path where available). Arg 1: an 8x32->16
+/// affine step with a tanh epilogue (sub-panel, so portable in auto mode).
+void BM_PlanGemmKernel(benchmark::State& state) {
+  const bool dual = state.range(0) == 0;
+  const int64_t m = dual ? 64 : 8, n = dual ? 128 : 16, k = dual ? 16 : 32;
+  const int64_t k2 = dual ? 32 : 0;
+  const kernels::PlanAct act =
+      dual ? kernels::PlanAct::kNone : kernels::PlanAct::kTanh;
+  const kernels::GemmPath path = kernels::GemmPathForShape(n);
+  Rng rng(19);
+  std::vector<float> x = RandomVec(m * k, &rng), w = RandomVec(k * n, &rng);
+  std::vector<float> x2 = RandomVec(m * k2, &rng), w2 = RandomVec(k2 * n, &rng);
+  std::vector<float> bias = RandomVec(n, &rng);
+  std::vector<float> wp(kernels::PlanPackedSize(k, n, path));
+  std::vector<float> wp2(kernels::PlanPackedSize(k2, n, path));
+  std::vector<float> bp(kernels::PlanPackedBiasSize(n, path));
+  kernels::PlanPackWeightFor(w.data(), k, n, path, wp.data());
+  kernels::PlanPackWeightFor(w2.data(), k2, n, path, wp2.data());
+  kernels::PlanPackBiasFor(bias.data(), n, path, bp.data());
+  std::vector<float> c(m * n);
+  for (auto _ : state) {
+    kernels::PlanGemm(m, n, k, x.data(), wp.data(), k2,
+                      dual ? x2.data() : nullptr, wp2.data(), bp.data(), act,
+                      c.data(), path);
+    benchmark::DoNotOptimize(c.data());
+  }
+  SetGemmCounters(state, 1, m, n, k + k2);
 }
 
 // --- Adam update: legacy scalar loop vs kernels::AdamUpdate ------------------
@@ -881,6 +914,8 @@ BENCHMARK(BM_GemmKernelPortable)
     ->Args({128, 64, 128});
 BENCHMARK(BM_BatchGemmKernel)->Args({32, 8, 64, 8})->Args({32, 8, 8, 64});
 BENCHMARK(BM_GemmSliceLoopKernel)->Args({32, 8, 64, 8})->Args({32, 8, 8, 64});
+// Serving's fused plan GEMM: Arg 0 = LSTM gate dual product, 1 = tanh step.
+BENCHMARK(BM_PlanGemmKernel)->Arg(0)->Arg(1);
 // Transcendental throughput: Arg(1) = SIMD path, Arg(0) = scalar libm.
 BENCHMARK(BM_ExpKernel)->Arg(1)->Arg(0);
 BENCHMARK(BM_TanhKernel)->Arg(1)->Arg(0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -54,7 +55,9 @@ bool EncodeCacheResolvedOn(EncodeCacheMode mode) {
 }
 
 /// Why a request cannot be served (empty when it can): the checks that keep
-/// a malformed scene out of MakeBatch, whose length checks abort.
+/// a malformed scene out of MakeBatch, whose length checks abort, and keep a
+/// NaN or ±Inf out of the points inference reads (focal[0, obs_len) and every
+/// neighbor point), where it would poison the whole padded batch.
 std::string RequestError(const data::TrajectorySequence& scene,
                          const SubmitOptions& submit_options,
                          const data::SequenceConfig& sequence) {
@@ -69,11 +72,25 @@ std::string RequestError(const data::TrajectorySequence& scene,
            std::to_string(total_len);
   }
   const size_t obs_len = static_cast<size_t>(sequence.obs_len);
+  const auto finite = [](const sim::Vec2& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  for (size_t t = 0; t < obs_len; ++t) {
+    if (!finite(scene.focal[t])) {
+      return "scene focal point " + std::to_string(t) + " is not finite";
+    }
+  }
   for (size_t m = 0; m < scene.neighbors.size(); ++m) {
     if (scene.neighbors[m].size() != obs_len) {
       return "scene neighbor " + std::to_string(m) + " has " +
              std::to_string(scene.neighbors[m].size()) +
              " points; the engine's window needs obs_len = " + std::to_string(obs_len);
+    }
+    for (size_t t = 0; t < obs_len; ++t) {
+      if (!finite(scene.neighbors[m][t])) {
+        return "scene neighbor " + std::to_string(m) + " point " +
+               std::to_string(t) + " is not finite";
+      }
     }
   }
   return std::string();

@@ -69,7 +69,8 @@
 //   - EngineStoppedError: shutdown/destruction reached the request first
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
 //   - InvalidRequestError: the request is malformed (a focal or neighbor
-//     track of the wrong length, a negative timeout_ms). Checked at Submit
+//     track of the wrong length, a non-finite point that inference reads,
+//     a negative timeout_ms). Checked at Submit
 //     before the request is queued, so it never reaches tensorization and
 //     never fails a batch-mate; counted in invalid_requests.
 //   - ServeError: an explicit id that lost the race against a deadline

@@ -1,22 +1,22 @@
-// Internal interface to the AVX-512 GEMM micro-kernels (kernels_avx512.cpp).
+// Internal interface between the GEMM driver (kernels.cpp) and the AVX-512
+// register tile (kernels_avx512.cpp).
 //
 // The implementation lives in its own translation unit compiled with
 // -mavx512f (see CMakeLists.txt) so the rest of the library keeps its
 // baseline architecture flags; kernels.cpp consults CompiledIn() and
 // CpuSupported() plus a startup bit-exactness probe before routing any work
-// here (see kernels.h, "GEMM micro-kernel dispatch").
+// here (see kernels.h, "GEMM dispatch").
 //
 // Tile geometry: 8 C rows x 32 C columns per register tile — 16 zmm
 // accumulators held across the whole k loop, fed by 2 B loads and 8 scalar
-// broadcasts per k step (16 FMAs against 10 loads, FMA-throughput-bound,
-// where the portable 4x16 tile is load-bound). B is pre-packed panel-major:
-// ceil(n/32) panels of [PaddedK(k)][32] floats, zero-padded in both the
-// column tail and the k tail, so every panel row is one aligned pair of
-// cache lines and edge tiles can issue full-width loads. The k padding is
-// LAYOUT ONLY: compute always runs over the true k (ascending), never the
-// padded rows — accumulating a*0 terms over pad rows could flip a -0.0
-// result to +0.0 (all-zero LSTM initial states against negative weights)
-// and break bit-identity with the portable kernel.
+// broadcasts per k step (16 FMAs against 10 loads, FMA-throughput-bound).
+// A packed B is panel-major: ceil(n/32) panels of [PaddedK(k)][32] floats,
+// zero-padded in both the column tail and the k tail, so every panel row is
+// one aligned pair of cache lines and edge tiles can issue full-width loads.
+// The k padding is LAYOUT ONLY: compute always runs over the true k
+// (ascending), never the padded rows — accumulating a*0 terms over pad rows
+// could flip a -0.0 result to +0.0 (all-zero LSTM initial states against
+// negative weights) and break bit-identity with the portable tile.
 
 #ifndef ADAPTRAJ_TENSOR_GEMM_AVX512_H_
 #define ADAPTRAJ_TENSOR_GEMM_AVX512_H_
@@ -25,10 +25,42 @@
 
 namespace adaptraj {
 namespace kernels {
+
+/// One GEMM slice as both paths' register tiles read it:
+///   C[i, :] = [C[i, :] +] A[i, :]·B [+ A2[i, :]·B2] [+ bias], then relu,
+/// per element in that order, each product over ascending k. A, A2 and C are
+/// dense row-major [m, k], [m, k2] and [m, n]. The column
+/// block of B that starts at column j (a multiple of the path's tile width
+/// NR: 16 portable, 32 AVX-512) begins at b + (j / NR) * b_panel, and its row
+/// p sits p * ldb floats further on. That one rule covers both layouts:
+///   - B read in place from row-major [k, n]: ldb = n, b_panel = NR, and when
+///     NR does not divide n, b_tail holds the last ragged block zero-padded
+///     to NR columns (row stride NR), so every load is full width and in
+///     bounds;
+///   - B packed for the path (PlanPackWeightFor's layout): b_tail is null.
+/// B2 is always packed like B (same ldb, its own panel stride). bias is a
+/// flat row zero-padded to a multiple of NR.
+struct TileArgs {
+  int64_t n = 0;  // also C's row stride
+  int64_t k = 0;  // also A's row stride
+  const float* a = nullptr;
+  const float* b = nullptr;
+  int64_t ldb = 0;
+  int64_t b_panel = 0;
+  const float* b_tail = nullptr;
+  int64_t k2 = 0;  // also A2's row stride
+  const float* a2 = nullptr;  // null: no second product
+  const float* b2 = nullptr;
+  int64_t b2_panel = 0;
+  const float* bias = nullptr;
+  bool accumulate = false;  // start from C instead of zero
+  bool relu = false;
+  float* c = nullptr;
+};
+
 namespace avx512 {
 
-/// Register-tile extents of the micro-kernel.
-constexpr int64_t kMR = 8;
+/// Register-tile width; a packed panel is this many columns wide.
 constexpr int64_t kNR = 32;
 /// k-loop unroll factor; packed panels pad k to this multiple (layout only).
 constexpr int64_t kKUnroll = 4;
@@ -50,41 +82,10 @@ bool CompiledIn();
 /// True when the host CPU supports AVX-512F. Safe to call on any host.
 bool CpuSupported();
 
-/// C[i0:i1, 0:n] (+)= A[i0:i1, 0:k] · B with A row-major (leading dimension
-/// lda) and B packed panel-major (PackedBSize layout above). Serial over the
-/// row range — callers split rows across the thread pool. Accumulation is
-/// ascending-k per element, matching GemmNaive's order. Must only be called
-/// when CompiledIn() && CpuSupported().
-void GemmRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-              int64_t lda, const float* bp, float* c, int64_t ldc,
-              bool accumulate);
-
-/// Same contract as GemmRows but with B row-major and UNPACKED (leading
-/// dimension ldb): full 32-column panels read B in place — eager calls skip
-/// the pack entirely when B needs no transpose. `tailp`, required when
-/// 32 does not divide n, is the last ragged panel pre-packed as
-/// [PaddedK(k)][32] (zero-padded columns) so the edge tile still issues
-/// full-width in-bounds loads. The per-element arithmetic order is identical
-/// to GemmRows on a packed operand — packing never changes results, only
-/// locality.
-void GemmRowsDirect(int64_t i0, int64_t i1, int64_t n, int64_t k,
-                    const float* a, int64_t lda, const float* b, int64_t ldb,
-                    const float* tailp, float* c, int64_t ldc,
-                    bool accumulate);
-
-/// Fused plan tile over rows [i0, i1): C = act(A·B1 [+ A2·B2] + bias), the
-/// AVX-512 twin of kernels::PlanGemm's portable tile. B1/B2 are packed
-/// panel-major; bias is a flat row zero-padded to RoundUpNR(n). Both
-/// products accumulate into the same registers (k then k2, ascending) and
-/// the bias adds once at the end — the eager Gemm + accumulate-Gemm +
-/// AddRowBias order. act: 0 = none, 1 = relu. Transcendental epilogues are
-/// applied by the caller as a second pass so their arithmetic stays in
-/// kernels.cpp's translation unit (bit-identical to the eager
-/// TanhForward/SigmoidForward whatever this TU's contraction rules are).
-void PlanGemmRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-                  int64_t lda, const float* bp, int64_t k2, const float* a2,
-                  int64_t lda2, const float* bp2, const float* biasp, int act,
-                  float* c, int64_t ldc);
+/// Rows [i0, i1) of one TileArgs slice through the 8x32 tile. Serial — the
+/// driver splits rows across the thread pool. Must only be called when
+/// CompiledIn() && CpuSupported().
+void TileRows(const TileArgs& t, int64_t i0, int64_t i1);
 
 }  // namespace avx512
 }  // namespace kernels

@@ -15,44 +15,16 @@
 #include "tensor/gemm_avx512.h"
 #include "tensor/parallel.h"
 
+// The kernels below are written with GCC/Clang vector extensions: the GEMM
+// register tile, the transcendental approximations and the optimizer loops.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "tensor/kernels.cpp needs GCC or Clang vector extensions"
+#endif
+
 namespace adaptraj {
 namespace kernels {
 
 namespace {
-
-// Micro-tile extents: MR C rows x NR C columns are held in registers across
-// the whole k loop (4 x 16 floats = one AVX-512 register per row, two AVX2
-// registers per row), so the inner loop is pure broadcast+FMA with a single
-// streaming read of the B tile. kRowGrain rows form one parallel chunk.
-constexpr int64_t kMR = 4;
-constexpr int64_t kNR = 16;
-constexpr int64_t kRowGrain = 32;
-
-/// Partial tile at the M/N edges: same accumulation structure as the full
-/// micro-kernel with runtime extents (also the portable fallback full tile).
-void MicroKernelEdge(int64_t mw, int64_t nw, int64_t k, const float* a,
-                     int64_t lda, const float* b, int64_t ldb, float* c,
-                     int64_t ldc, bool accumulate) {
-  float acc[kMR][kNR];
-  for (int64_t r = 0; r < mw; ++r) {
-    for (int64_t j = 0; j < nw; ++j) {
-      acc[r][j] = accumulate ? c[r * ldc + j] : 0.0f;
-    }
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* br = b + p * ldb;
-    for (int64_t r = 0; r < mw; ++r) {
-      const float av = a[r * lda + p];
-      for (int64_t j = 0; j < nw; ++j) acc[r][j] += av * br[j];
-    }
-  }
-  for (int64_t r = 0; r < mw; ++r) {
-    for (int64_t j = 0; j < nw; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define ADAPTRAJ_HAVE_VEC16 1
 
 /// 16-lane float vector (lowers to one zmm, two ymm, or four xmm as the
 /// target allows). memcpy in/out compiles to unaligned vector moves.
@@ -81,240 +53,9 @@ inline void StorePartial16(float* p, Vec16 v, int64_t n) {
   std::memcpy(p, tmp, static_cast<size_t>(n) * sizeof(float));
 }
 
-/// Full MR x NR register tile: C[i:i+MR, j0:j0+NR] (+)= A[i:i+MR, :] * B.
-/// Four explicit vector accumulators live in registers across the whole k
-/// loop: one streaming B load feeds four broadcast-FMA ops per iteration.
-/// The accumulator starts from C (accumulate) or zero, then adds a·b terms in
-/// ascending p order — the same per-element order as GemmNaive, so results
-/// are bit-identical to the reference.
-void MicroKernel(int64_t k, const float* a, int64_t lda, const float* b,
-                 int64_t ldb, float* c, int64_t ldc, bool accumulate) {
-  Vec16 acc0, acc1, acc2, acc3;
-  if (accumulate) {
-    acc0 = LoadVec16(c + 0 * ldc);
-    acc1 = LoadVec16(c + 1 * ldc);
-    acc2 = LoadVec16(c + 2 * ldc);
-    acc3 = LoadVec16(c + 3 * ldc);
-  } else {
-    acc0 = acc1 = acc2 = acc3 = Vec16{} * 0.0f;
-  }
-  const float* a0 = a + 0 * lda;
-  const float* a1 = a + 1 * lda;
-  const float* a2 = a + 2 * lda;
-  const float* a3 = a + 3 * lda;
-  for (int64_t p = 0; p < k; ++p) {
-    const Vec16 bv = LoadVec16(b + p * ldb);
-    acc0 += a0[p] * bv;
-    acc1 += a1[p] * bv;
-    acc2 += a2[p] * bv;
-    acc3 += a3[p] * bv;
-  }
-  StoreVec16(c + 0 * ldc, acc0);
-  StoreVec16(c + 1 * ldc, acc1);
-  StoreVec16(c + 2 * ldc, acc2);
-  StoreVec16(c + 3 * ldc, acc3);
-}
-
-#else  // portable fallback
-
-void MicroKernel(int64_t k, const float* a, int64_t lda, const float* b,
-                 int64_t ldb, float* c, int64_t ldc, bool accumulate) {
-  MicroKernelEdge(kMR, kNR, k, a, lda, b, ldb, c, ldc, accumulate);
-}
-
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-
-/// Column-edge tile with vector accumulators: MW rows x nw (< NR) columns
-/// against a B panel whose columns nw..16 within the tile are zero (either a
-/// pre-padded packed panel or a per-panel scratch), so full-width loads are
-/// safe. Same ascending-p per-element order as the scalar edge; the padded
-/// lanes accumulate exact zeros and are never stored.
-template <int MW>
-void MicroKernelEdgeVecImpl(int64_t nw, int64_t k, const float* a, int64_t lda,
-                            const float* b_pad, int64_t ldb, float* c,
-                            int64_t ldc, bool accumulate) {
-  Vec16 acc[MW];
-  for (int r = 0; r < MW; ++r) {
-    acc[r] = accumulate ? LoadPartial16(c + r * ldc, nw) : Vec16{} * 0.0f;
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const Vec16 bv = LoadVec16(b_pad + p * ldb);
-    for (int r = 0; r < MW; ++r) acc[r] += a[r * lda + p] * bv;
-  }
-  for (int r = 0; r < MW; ++r) StorePartial16(c + r * ldc, acc[r], nw);
-}
-
-inline void MicroKernelEdgeVec(int64_t mw, int64_t nw, int64_t k, const float* a,
-                               int64_t lda, const float* b_pad, int64_t ldb,
-                               float* c, int64_t ldc, bool accumulate) {
-  switch (mw) {
-    case 1: MicroKernelEdgeVecImpl<1>(nw, k, a, lda, b_pad, ldb, c, ldc, accumulate); break;
-    case 2: MicroKernelEdgeVecImpl<2>(nw, k, a, lda, b_pad, ldb, c, ldc, accumulate); break;
-    case 3: MicroKernelEdgeVecImpl<3>(nw, k, a, lda, b_pad, ldb, c, ldc, accumulate); break;
-    default: MicroKernelEdgeVecImpl<4>(nw, k, a, lda, b_pad, ldb, c, ldc, accumulate); break;
-  }
-}
-
-#endif
-
-/// Rounds n up to the next micro-tile width multiple.
-inline int64_t RoundUpNR(int64_t n) { return (n + kNR - 1) / kNR * kNR; }
-
-/// Serial row panel: C[i0:i1, :] (+)= A[i0:i1, :] * B with A packed row-major
-/// [M,K] and B row-major [K,ldb] holding N valid columns. When `b_padded` is
-/// set, ldb is a kNR multiple and columns n..ldb are zero, so edge tiles can
-/// issue full-width vector loads (partial stores keep C intact). Otherwise
-/// `b_edge_pad` (when non-null) is the final partial column block zero-padded
-/// to [K, kNR] — built once by the caller so worker panels never allocate.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-// noinline: with the header-template ParallelFor the panel body would inline
-// into Gemm wholesale, and the bigger function measurably pessimizes the
-// small-shape register allocation (~20% on [32,32]x[32,32]). Keeping the
-// panel a real call preserves the tight micro-kernel codegen.
-void GemmPanel(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-               const float* b, int64_t ldb, bool b_padded,
-               const float* b_edge_pad, float* c, bool accumulate) {
-  for (int64_t j0 = 0; j0 < n; j0 += kNR) {
-    const int64_t nw = std::min(kNR, n - j0);
-    int64_t i = i0;
-    if (nw == kNR) {
-      for (; i + kMR <= i1; i += kMR) {
-        MicroKernel(k, a + i * k, k, b + j0, ldb, c + i * n + j0, n, accumulate);
-      }
-    }
-#if defined(__GNUC__) || defined(__clang__)
-    else if (b_padded || b_edge_pad != nullptr) {
-      // Zero lanes beyond nw make full-width loads exact (attention's T = 8
-      // key dimension lives entirely on this path).
-      const float* be = b_padded ? b + j0 : b_edge_pad;
-      const int64_t lde = b_padded ? ldb : kNR;
-      for (; i < i1; i += kMR) {
-        const int64_t mw = std::min(kMR, i1 - i);
-        MicroKernelEdgeVec(mw, nw, k, a + i * k, k, be, lde, c + i * n + j0, n,
-                           accumulate);
-      }
-      continue;
-    }
-#endif
-    for (; i < i1; i += kMR) {
-      const int64_t mw = std::min(kMR, i1 - i);
-      MicroKernelEdge(mw, nw, k, a + i * k, k, b + j0, ldb, c + i * n + j0, n,
-                      accumulate);
-    }
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-constexpr bool kHaveVecEdge = true;
-#else
-constexpr bool kHaveVecEdge = false;
-#endif
-
-/// Writes the zero-padded [k, kNR] copy of B's final partial column block
-/// (columns n - n%kNR .. n) into dst. Requires n % kNR != 0.
-void PackColumnEdge(const float* b, int64_t n, int64_t k, float* dst) {
-  const int64_t nw = n % kNR;
-  const int64_t j0 = n - nw;
-  std::memset(dst, 0, sizeof(float) * static_cast<size_t>(k * kNR));
-  for (int64_t p = 0; p < k; ++p) {
-    std::memcpy(dst + p * kNR, b + p * n + j0,
-                sizeof(float) * static_cast<size_t>(nw));
-  }
-}
-
-/// Packs src (stored [cols, rows] row-major) transposed into dst
-/// [rows, dst_stride], zero-filling columns cols..dst_stride. A dst_stride
-/// that is a kNR multiple makes the packed panel edge-safe for full-width
-/// vector loads.
-void PackTranspose(const float* src, int64_t rows, int64_t cols, float* dst,
-                   int64_t dst_stride) {
-  // Tile the transpose so both access streams stay cache-resident.
-  constexpr int64_t kTile = 32;
-  for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
-    const int64_t r1 = std::min(rows, r0 + kTile);
-    for (int64_t c0 = 0; c0 < cols; c0 += kTile) {
-      const int64_t c1 = std::min(cols, c0 + kTile);
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int64_t c = c0; c < c1; ++c) dst[r * dst_stride + c] = src[c * rows + r];
-      }
-    }
-  }
-  if (dst_stride > cols) {
-    for (int64_t r = 0; r < rows; ++r) {
-      std::memset(dst + r * dst_stride + cols, 0,
-                  sizeof(float) * static_cast<size_t>(dst_stride - cols));
-    }
-  }
-}
-
-/// Packs B (row-major [k, n], or [n, k] when trans_b) into the AVX-512
-/// panel-major layout (gemm_avx512.h): ceil(n/32) panels of [PaddedK(k)][32]
-/// floats, zero-filled in the column and k tails. The k padding is layout
-/// only — the kernels never accumulate over the pad rows.
-void PackBAvx512(const float* b, int64_t n, int64_t k, bool trans_b,
-                 float* dst) {
-  const int64_t kp = avx512::PaddedK(k);
-  for (int64_t j0 = 0, pj = 0; j0 < n; j0 += avx512::kNR, ++pj) {
-    float* panel = dst + pj * kp * avx512::kNR;
-    const int64_t nv = std::min(avx512::kNR, n - j0);
-    if (!trans_b) {
-      if (nv == avx512::kNR) {
-        for (int64_t p = 0; p < k; ++p) {
-          std::memcpy(panel + p * avx512::kNR, b + p * n + j0,
-                      sizeof(float) * static_cast<size_t>(avx512::kNR));
-        }
-      } else {
-        for (int64_t p = 0; p < k; ++p) {
-          std::memcpy(panel + p * avx512::kNR, b + p * n + j0,
-                      sizeof(float) * static_cast<size_t>(nv));
-          std::memset(panel + p * avx512::kNR + nv, 0,
-                      sizeof(float) * static_cast<size_t>(avx512::kNR - nv));
-        }
-      }
-    } else {
-      if (nv < avx512::kNR) {
-        std::memset(panel, 0,
-                    sizeof(float) * static_cast<size_t>(k * avx512::kNR));
-      }
-      for (int64_t lane = 0; lane < nv; ++lane) {
-        const float* src = b + (j0 + lane) * k;
-        float* d = panel + lane;
-        for (int64_t p = 0; p < k; ++p) d[p * avx512::kNR] = src[p];
-      }
-    }
-    // Zero the k-pad rows (layout only; compute never touches them beyond
-    // the prefetch lookahead).
-    std::memset(panel + k * avx512::kNR, 0,
-                sizeof(float) * static_cast<size_t>((kp - k) * avx512::kNR));
-  }
-}
-
-/// Packs just the ragged last panel of a row-major, non-transposed B (the
-/// columns from n rounded down to a 32 multiple): the direct-B kernel reads
-/// all full panels in place and only this zero-padded copy for the edge.
-void PackBTailAvx512(const float* b, int64_t n, int64_t k, float* dst) {
-  const int64_t j0 = n / avx512::kNR * avx512::kNR;
-  const int64_t nv = n - j0;
-  const int64_t kp = avx512::PaddedK(k);
-  for (int64_t p = 0; p < k; ++p) {
-    std::memcpy(dst + p * avx512::kNR, b + p * n + j0,
-                sizeof(float) * static_cast<size_t>(nv));
-    std::memset(dst + p * avx512::kNR + nv, 0,
-                sizeof(float) * static_cast<size_t>(avx512::kNR - nv));
-  }
-  std::memset(dst + k * avx512::kNR, 0,
-              sizeof(float) * static_cast<size_t>((kp - k) * avx512::kNR));
-}
-
 inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 // --- Vectorized transcendentals ----------------------------------------------
-
-#ifdef ADAPTRAJ_HAVE_VEC16
 
 inline Vec16 Splat(float v) { return Vec16{} + v; }
 
@@ -392,8 +133,6 @@ inline void VecMap(const float* x, float* y, int64_t n, F f) {
   if (i < n) StorePartial16(y + i, f(LoadPartial16(x + i, n - i)), n - i);
 }
 
-#endif  // ADAPTRAJ_HAVE_VEC16
-
 // --- Transcendental path resolution ------------------------------------------
 
 /// Dispatch override globals (this one and g_gemm_override below) are
@@ -404,8 +143,6 @@ inline void VecMap(const float* x, float* y, int64_t n, F f) {
 /// (tests set them before launching work; the one-time probes below
 /// synchronize through their local statics' init guard).
 std::atomic<int> g_transcendental_override{static_cast<int>(TranscendentalPath::kAuto)};
-
-#ifdef ADAPTRAJ_HAVE_VEC16
 
 /// Accuracy gate: sweep the approximations against libm. Any regression
 /// (miscompiled vector code, exotic rounding mode) silently drops the
@@ -449,246 +186,334 @@ bool ResolveSimdDefault() {
   return SimdAccuracyOk();
 }
 
-#endif  // ADAPTRAJ_HAVE_VEC16
-
-/// Portable-path Gemm body: the packed 4x16 register-tiled kernel.
-/// Degenerate extents (m/n/k == 0) are handled by the public dispatcher.
-void GemmPortableImpl(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                      int64_t k, const float* a, const float* b, float* c,
-                      bool accumulate) {
-  // Pack transposed operands into unit-stride panels once, up front (on the
-  // calling thread: the buffer pool is thread-local). The B panel is padded
-  // to a 16-column multiple so edge tiles run full-width vector loads.
-  internal::FloatBuffer a_packed;
-  internal::FloatBuffer b_packed;
-  int64_t ldb = n;
-  bool b_padded = false;
-  if (trans_a) {
-    a_packed = internal::AcquireBuffer(m * k);
-    PackTranspose(a, m, k, a_packed.data(), k);
-    a = a_packed.data();
-  }
-  if (trans_b) {
-    ldb = RoundUpNR(n);
-    b_packed = internal::AcquireBuffer(k * ldb);
-    PackTranspose(b, k, n, b_packed.data(), ldb);
-    b = b_packed.data();
-    b_padded = true;
-  }
-  // Plain-layout B with a ragged column count: pad the edge block once here
-  // (calling thread) so the row panels below stay allocation-free.
-  internal::FloatBuffer b_edge;
-  if (kHaveVecEdge && !b_padded && (n % kNR) != 0) {
-    b_edge = internal::AcquireBuffer(k * kNR);
-    PackColumnEdge(b, n, k, b_edge.data());
-  }
-  const float* b_edge_ptr = b_edge.empty() ? nullptr : b_edge.data();
-  parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-    GemmPanel(i0, i1, n, k, a, b, ldb, b_padded, b_edge_ptr, c, accumulate);
-  });
-  if (!a_packed.empty()) internal::ReleaseBuffer(std::move(a_packed));
-  if (!b_packed.empty()) internal::ReleaseBuffer(std::move(b_packed));
-  if (!b_edge.empty()) internal::ReleaseBuffer(std::move(b_edge));
-}
-
-/// AVX-512-path Gemm body: split row panels across the pool into the 8x32
-/// micro-kernel. Non-transposed B is read in place (only a ragged n tail is
-/// packed); transposed B is packed panel-major, transposed A row-major. Only
-/// reachable once the dispatcher has established CompiledIn() &&
-/// CpuSupported(). Packing is locality-only and never changes the
-/// per-element arithmetic order, so both B strategies produce identical
-/// bits.
-void GemmAvx512Impl(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                    int64_t k, const float* a, const float* b, float* c,
-                    bool accumulate) {
-  internal::FloatBuffer a_packed;
-  if (trans_a) {
-    a_packed = internal::AcquireBuffer(m * k);
-    PackTranspose(a, m, k, a_packed.data(), k);
-    a = a_packed.data();
-  }
-  if (!trans_b) {
-    internal::FloatBuffer tail;
-    const float* tailp = nullptr;
-    if (n % avx512::kNR != 0) {
-      tail = internal::AcquireBuffer(avx512::PaddedK(k) * avx512::kNR);
-      PackBTailAvx512(b, n, k, tail.data());
-      tailp = tail.data();
-    }
-    parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-      avx512::GemmRowsDirect(i0, i1, n, k, a, k, b, n, tailp, c, n,
-                             accumulate);
-    });
-    if (!tail.empty()) internal::ReleaseBuffer(std::move(tail));
-  } else {
-    internal::FloatBuffer b_packed =
-        internal::AcquireBuffer(avx512::PackedBSize(n, k));
-    PackBAvx512(b, n, k, trans_b, b_packed.data());
-    const float* bp = b_packed.data();
-    parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-      avx512::GemmRows(i0, i1, n, k, a, k, bp, c, n, accumulate);
-    });
-    internal::ReleaseBuffer(std::move(b_packed));
-  }
-  if (!a_packed.empty()) internal::ReleaseBuffer(std::move(a_packed));
-}
-
 }  // namespace
 
-void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-          const float* a, const float* b, float* c, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
-    return;
-  }
-  if (GemmPathForShape(n) == GemmPath::kAvx512) {
-    GemmAvx512Impl(trans_a, trans_b, m, n, k, a, b, c, accumulate);
-  } else {
-    GemmPortableImpl(trans_a, trans_b, m, n, k, a, b, c, accumulate);
-  }
+void SetTranscendentalPath(TranscendentalPath path) {
+  g_transcendental_override.store(static_cast<int>(path), std::memory_order_relaxed);
 }
 
-void GemmNaive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-               const float* a, const float* b, float* c, bool accumulate) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      float acc = accumulate ? c[i * n + j] : 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = trans_a ? a[p * m + i] : a[i * k + p];
-        const float bv = trans_b ? b[j * k + p] : b[p * n + j];
-        acc += av * bv;
-      }
-      c[i * n + j] = acc;
-    }
-  }
+bool SimdTranscendentalsActive() {
+  const auto mode = static_cast<TranscendentalPath>(
+      g_transcendental_override.load(std::memory_order_relaxed));
+  if (mode == TranscendentalPath::kSimd) return true;
+  if (mode == TranscendentalPath::kScalar) return false;
+  static const bool simd_default = ResolveSimdDefault();
+  return simd_default;
 }
+
+void ExpForward(const float* x, float* y, int64_t n) {
+  if (SimdTranscendentalsActive()) {
+    VecMap(x, y, n, [](Vec16 v) { return VecExp(v); });
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) y[i] = std::exp(x[i]);
+}
+
+void TanhForward(const float* x, float* y, int64_t n) {
+  if (SimdTranscendentalsActive()) {
+    VecMap(x, y, n, [](Vec16 v) { return VecTanh(v); });
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+}
+
+void SigmoidForward(const float* x, float* y, int64_t n) {
+  if (SimdTranscendentalsActive()) {
+    VecMap(x, y, n, [](Vec16 v) { return VecSigmoid(v); });
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) y[i] = SigmoidF(x[i]);
+}
+
+// --- GEMM --------------------------------------------------------------------
+//
+// One driver (RunTiles) serves Gemm, BatchGemm and PlanGemm on both paths. It
+// hands (slice, 32-row panel) work items to the pool, runs the path's one
+// register tile over each item (TileArgs, gemm_avx512.h), then applies a
+// tanh/sigmoid epilogue to the item's own rows. Packing — a transposed A, a
+// transposed B, or the ragged last column block of a B read in place —
+// happens up front on the calling thread, since the buffer pool is
+// thread-local.
 
 namespace {
 
-/// Portable-path BatchGemm body (see BatchGemm). Degenerate extents are
-/// handled by the public dispatcher.
-void BatchGemmPortableImpl(bool trans_a, bool trans_b, int64_t batch,
-                           int64_t m, int64_t n, int64_t k, const float* a,
-                           const float* b, float* c, bool accumulate) {
-  const int64_t a_stride = m * k;
-  int64_t b_stride = k * n;
-  const int64_t c_stride = m * n;
-  // Pack every transposed slice up front (calling thread — the buffer pool is
-  // thread-local), so the panel loop below reads unit-stride operands only.
-  // Like Gemm, transposed B panels pad to a 16-column multiple.
-  internal::FloatBuffer a_packed;
-  internal::FloatBuffer b_packed;
-  int64_t ldb = n;
-  bool b_padded = false;
-  if (trans_a) {
-    a_packed = internal::AcquireBuffer(batch * a_stride);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackTranspose(a + bi * a_stride, m, k, a_packed.data() + bi * a_stride, k);
-    }
-    a = a_packed.data();
-  }
-  if (trans_b) {
-    ldb = RoundUpNR(n);
-    const int64_t packed_stride = k * ldb;
-    b_packed = internal::AcquireBuffer(batch * packed_stride);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackTranspose(b + bi * b_stride, k, n, b_packed.data() + bi * packed_stride,
-                    ldb);
-    }
-    b = b_packed.data();
-    b_stride = packed_stride;
-    b_padded = true;
-  }
-  // Plain-layout B with a ragged column count: pad each slice's edge block
-  // once here (calling thread) so the panels below stay allocation-free.
-  internal::FloatBuffer b_edge;
-  if (kHaveVecEdge && !b_padded && (n % kNR) != 0) {
-    b_edge = internal::AcquireBuffer(batch * k * kNR);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackColumnEdge(b + bi * b_stride, n, k, b_edge.data() + bi * k * kNR);
-    }
-  }
-  const float* b_edge_base = b_edge.empty() ? nullptr : b_edge.data();
-  // One work item per (slice, row-panel) pair. Panel boundaries depend only
-  // on m, so any thread count produces the same per-panel serial compute.
-  const int64_t panels = (m + kRowGrain - 1) / kRowGrain;
-  parallel::ParallelFor(0, batch * panels, 1, [&](int64_t w0, int64_t w1) {
-    for (int64_t w = w0; w < w1; ++w) {
-      const int64_t bi = w / panels;
-      const int64_t i0 = (w % panels) * kRowGrain;
-      const int64_t i1 = std::min(m, i0 + kRowGrain);
-      GemmPanel(i0, i1, n, k, a + bi * a_stride, b + bi * b_stride, ldb,
-                b_padded,
-                b_edge_base == nullptr ? nullptr : b_edge_base + bi * k * kNR,
-                c + bi * c_stride, accumulate);
-    }
-  });
-  if (!a_packed.empty()) internal::ReleaseBuffer(std::move(a_packed));
-  if (!b_packed.empty()) internal::ReleaseBuffer(std::move(b_packed));
-  if (!b_edge.empty()) internal::ReleaseBuffer(std::move(b_edge));
+// Portable tile extents: kMR C rows x 1-3 blocks of kNR columns (2*kMR rows
+// for a one-block tile) are held in registers across the whole k loop, one
+// 16-lane vector per block per row, so the inner loop is pure broadcast+FMA
+// over streaming B loads. kRowGrain rows form one parallel work item on both
+// paths.
+constexpr int64_t kMR = 4;
+constexpr int64_t kNR = 16;
+constexpr int64_t kRowGrain = 32;
+
+inline int64_t RoundUpNR(int64_t n) { return (n + kNR - 1) / kNR * kNR; }
+
+inline Vec16 LoadCols16(const float* p, int64_t cols) {
+  return cols >= 16 ? LoadVec16(p) : LoadPartial16(p, cols);
 }
 
-/// AVX-512-path BatchGemm body: per-slice panel-major B packs up front, then
-/// (slice, row-panel) work items into the 8x32 micro-kernel.
-void BatchGemmAvx512Impl(bool trans_a, bool trans_b, int64_t batch, int64_t m,
-                         int64_t n, int64_t k, const float* a, const float* b,
-                         float* c, bool accumulate) {
-  const int64_t a_stride = m * k;
-  const int64_t b_stride = k * n;
-  const int64_t c_stride = m * n;
-  internal::FloatBuffer a_packed;
-  if (trans_a) {
-    a_packed = internal::AcquireBuffer(batch * a_stride);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackTranspose(a + bi * a_stride, m, k, a_packed.data() + bi * a_stride, k);
-    }
-    a = a_packed.data();
+inline void StoreCols16(float* p, Vec16 v, int64_t cols) {
+  if (cols >= 16) {
+    StoreVec16(p, v);
+  } else {
+    StorePartial16(p, v, cols);
   }
-  // Non-transposed B slices are read in place (ragged n tails packed per
-  // slice up front); transposed ones are packed panel-major per slice.
-  internal::FloatBuffer b_packed;
-  const float* bp = nullptr;
-  int64_t packed_stride = 0;
-  if (trans_b) {
-    packed_stride = avx512::PackedBSize(n, k);
-    b_packed = internal::AcquireBuffer(batch * packed_stride);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackBAvx512(b + bi * b_stride, n, k, trans_b,
-                  b_packed.data() + bi * packed_stride);
+}
+
+/// Portable register tile: rows [i, i + MW) x NB 16-lane column blocks from
+/// column j, ncols of them stored. Same per-element contract as the AVX-512
+/// tile: start from C or zero, add a·b terms over ascending k (then k2) —
+/// the per-element order of GemmNaive, so results are bit-identical to the
+/// reference — then the bias, then relu, then one store. Columns beyond
+/// ncols read zero-padded B and are never stored. Three separately named
+/// accumulator arrays (rather than one [MW][NB]) keep GCC from spilling at
+/// MW=4, NB=3 — the shape the FMA-throughput probe picked.
+template <int MW, int NB>
+void Tile(const TileArgs& t, int64_t i, int64_t j, const float* b, int64_t ldb,
+          int64_t ncols) {
+  static_assert(NB >= 1 && NB <= 3, "tile is 16/32/48 columns wide");
+  Vec16 au[MW], av[MW], aw[MW];
+  const Vec16 zero = Vec16{} * 0.0f;
+  float* c = t.c + i * t.n + j;
+  const int64_t last = ncols - 16 * (NB - 1);  // columns of the last vector
+  for (int r = 0; r < MW; ++r) {
+    const float* cr = c + r * t.n;
+    au[r] = t.accumulate ? LoadCols16(cr, NB == 1 ? last : 16) : zero;
+    if (NB > 1) {
+      av[r] = t.accumulate ? LoadCols16(cr + 16, NB == 2 ? last : 16) : zero;
     }
-    bp = b_packed.data();
-  } else if (n % avx512::kNR != 0) {
-    packed_stride = avx512::PaddedK(k) * avx512::kNR;
-    b_packed = internal::AcquireBuffer(batch * packed_stride);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      PackBTailAvx512(b + bi * b_stride, n, k,
-                      b_packed.data() + bi * packed_stride);
-    }
-    bp = b_packed.data();
+    if (NB > 2) aw[r] = t.accumulate ? LoadCols16(cr + 32, last) : zero;
   }
-  // One work item per (slice, row-panel) pair, as in the portable path:
-  // panel boundaries depend only on m, so any thread count produces the same
-  // per-panel serial compute.
+  const auto product = [&](int64_t k, const float* a, const float* bk) {
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC unroll 8
+#endif
+    for (int64_t p = 0; p < k; ++p) {
+      const float* br = bk + p * ldb;
+      const Vec16 u = LoadVec16(br);
+      Vec16 v{}, w{};
+      if (NB > 1) v = LoadVec16(br + 16);
+      if (NB > 2) w = LoadVec16(br + 32);
+      for (int r = 0; r < MW; ++r) {
+        const float x = a[r * k + p];
+        au[r] += x * u;
+        if (NB > 1) av[r] += x * v;
+        if (NB > 2) aw[r] += x * w;
+      }
+    }
+  };
+  product(t.k, t.a + i * t.k, b);
+  if (t.a2 != nullptr) {
+    product(t.k2, t.a2 + i * t.k2, t.b2 + j / kNR * t.b2_panel);
+  }
+  if (t.bias != nullptr) {
+    const float* bias = t.bias + j;
+    for (int r = 0; r < MW; ++r) {
+      au[r] += LoadVec16(bias);
+      if (NB > 1) av[r] += LoadVec16(bias + 16);
+      if (NB > 2) aw[r] += LoadVec16(bias + 32);
+    }
+  }
+  if (t.relu) {
+    for (int r = 0; r < MW; ++r) {
+      au[r] = au[r] > 0.0f ? au[r] : zero;
+      if (NB > 1) av[r] = av[r] > 0.0f ? av[r] : zero;
+      if (NB > 2) aw[r] = aw[r] > 0.0f ? aw[r] : zero;
+    }
+  }
+  for (int r = 0; r < MW; ++r) {
+    float* cr = c + r * t.n;
+    StoreCols16(cr, au[r], NB == 1 ? last : 16);
+    if (NB > 1) StoreCols16(cr + 16, av[r], NB == 2 ? last : 16);
+    if (NB > 2) StoreCols16(cr + 32, aw[r], last);
+  }
+}
+
+/// One column block over rows [i0, i1): full tiles, then a 4/2/1-row ladder
+/// for the rest. A one-vector block takes 8 rows per tile so 8 independent
+/// FMA chains hide the FMA latency; wider blocks get there at 4 rows. Each
+/// row's element chain is independent of the grouping, so the split cannot
+/// perturb results.
+template <int NB>
+void TileBlock(const TileArgs& t, int64_t i0, int64_t i1, int64_t j,
+               const float* b, int64_t ldb, int64_t ncols) {
+  constexpr int kRows = NB == 1 ? 2 * kMR : kMR;
+  int64_t i = i0;
+  for (; i + kRows <= i1; i += kRows) Tile<kRows, NB>(t, i, j, b, ldb, ncols);
+  if (i1 - i >= 4) {
+    Tile<4, NB>(t, i, j, b, ldb, ncols);
+    i += 4;
+  }
+  if (i1 - i >= 2) {
+    Tile<2, NB>(t, i, j, b, ldb, ncols);
+    i += 2;
+  }
+  if (i1 - i >= 1) Tile<1, NB>(t, i, j, b, ldb, ncols);
+}
+
+/// Rows [i0, i1) of one slice through the portable tile: column blocks of
+/// 48, then 32 or 16 for what remains of B's readable width, then the ragged
+/// tail block of an in-place B from its zero-padded copy.
+void TileRows(const TileArgs& t, int64_t i0, int64_t i1) {
+  const int64_t n_direct = t.b_tail != nullptr ? t.n / kNR * kNR : t.n;
+  const int64_t readable = RoundUpNR(n_direct);
+  for (int64_t j = 0; j < n_direct;) {
+    const int64_t rem = readable - j;
+    const int64_t bw = rem >= 48 ? 48 : rem >= 32 ? 32 : 16;
+    const int64_t ncols = std::min(t.n - j, bw);
+    const float* b = t.b + j / kNR * t.b_panel;
+    if (bw == 48) {
+      TileBlock<3>(t, i0, i1, j, b, t.ldb, ncols);
+    } else if (bw == 32) {
+      TileBlock<2>(t, i0, i1, j, b, t.ldb, ncols);
+    } else {
+      TileBlock<1>(t, i0, i1, j, b, t.ldb, ncols);
+    }
+    j += bw;
+  }
+  if (n_direct < t.n) {
+    TileBlock<1>(t, i0, i1, n_direct, t.b_tail, kNR, t.n - n_direct);
+  }
+}
+
+/// Copies the [rows, cols] matrix src — row-major with row stride lds, or
+/// stored transposed ([cols, rows], row stride lds) when `trans` — into dst
+/// with row stride ldd, zero-filling columns cols..ldd.
+void CopyRows(const float* src, int64_t lds, int64_t rows, int64_t cols,
+              bool trans, float* dst, int64_t ldd) {
+  for (int64_t r = 0; r < rows; ++r) {
+    float* d = dst + r * ldd;
+    if (trans) {
+      for (int64_t c = 0; c < cols; ++c) d[c] = src[c * lds + r];
+    } else {
+      std::memcpy(d, src + r * lds, sizeof(float) * static_cast<size_t>(cols));
+    }
+    std::fill(d + cols, d + ldd, 0.0f);
+  }
+}
+
+/// The packer of both paths: B — row-major [k, n] with row stride ldb, or
+/// stored transposed ([n, k], row stride ldb) when `trans` — into `path`'s
+/// layout. Portable: row-major [k, RoundUpNR(n)]. AVX-512: panel-major
+/// [Panels(n)][PaddedK(k)][32] (gemm_avx512.h). Column and k tails are
+/// zero-filled; the k padding is layout only.
+void PackB(GemmPath path, const float* b, int64_t ldb, int64_t n, int64_t k,
+           bool trans, float* dst) {
+  if (path != GemmPath::kAvx512) {
+    CopyRows(b, ldb, k, n, trans, dst, RoundUpNR(n));
+    return;
+  }
+  const int64_t panel = avx512::PaddedK(k) * avx512::kNR;
+  for (int64_t j = 0; j < n; j += avx512::kNR, dst += panel) {
+    CopyRows(trans ? b + j * ldb : b + j, ldb, k,
+             std::min(avx512::kNR, n - j), trans, dst, avx512::kNR);
+    std::fill(dst + k * avx512::kNR, dst + panel, 0.0f);
+  }
+}
+
+/// Row stride and column-panel stride of a [k, n] B packed for `path`.
+int64_t PackedLd(GemmPath path, int64_t n) {
+  return path == GemmPath::kAvx512 ? avx512::kNR : RoundUpNR(n);
+}
+int64_t PackedPanel(GemmPath path, int64_t k) {
+  return path == GemmPath::kAvx512 ? avx512::PaddedK(k) * avx512::kNR : kNR;
+}
+
+/// The GEMM driver: `batch` slices of `t` (slice s moves A, B and B's tail
+/// by s times the given strides and C by s·m·n) as (slice, 32-row panel)
+/// work items on the pool. Panel boundaries depend only on m, so any thread
+/// count produces the same per-item serial compute. A tanh/sigmoid `act`
+/// runs as a second pass over each item's stored rows INSIDE the same work
+/// item, through this TU's TanhForward/SigmoidForward — exactly the eager
+/// arithmetic, however kernels_avx512.cpp's TU would have contracted it.
+/// The store/reload between the passes is a bit-exact float identity, and
+/// VecMap's zero-padded remainder makes a per-item pass identical to the
+/// eager whole-tensor one.
+void RunTiles(GemmPath path, const TileArgs& t, int64_t batch, int64_t m,
+              int64_t stride_a, int64_t stride_b, int64_t stride_tail,
+              PlanAct act) {
   const int64_t panels = (m + kRowGrain - 1) / kRowGrain;
   parallel::ParallelFor(0, batch * panels, 1, [&](int64_t w0, int64_t w1) {
     for (int64_t w = w0; w < w1; ++w) {
-      const int64_t bi = w / panels;
+      const int64_t s = w / panels;
       const int64_t i0 = (w % panels) * kRowGrain;
       const int64_t i1 = std::min(m, i0 + kRowGrain);
-      if (trans_b) {
-        avx512::GemmRows(i0, i1, n, k, a + bi * a_stride, k,
-                         bp + bi * packed_stride, c + bi * c_stride, n,
-                         accumulate);
+      TileArgs slice = t;
+      slice.a += s * stride_a;
+      slice.b += s * stride_b;
+      if (slice.b_tail != nullptr) slice.b_tail += s * stride_tail;
+      slice.c += s * m * t.n;
+      if (path == GemmPath::kAvx512) {
+        avx512::TileRows(slice, i0, i1);
       } else {
-        avx512::GemmRowsDirect(i0, i1, n, k, a + bi * a_stride, k,
-                               b + bi * b_stride, n,
-                               bp != nullptr ? bp + bi * packed_stride
-                                             : nullptr,
-                               c + bi * c_stride, n, accumulate);
+        TileRows(slice, i0, i1);
       }
+      float* rows = slice.c + i0 * t.n;
+      if (act == PlanAct::kTanh) TanhForward(rows, rows, (i1 - i0) * t.n);
+      if (act == PlanAct::kSigmoid) SigmoidForward(rows, rows, (i1 - i0) * t.n);
     }
   });
+}
+
+/// BatchGemm on an explicit path: BatchGemm resolves it by shape, the probe
+/// forces each path in turn.
+void BatchGemmOn(GemmPath path, bool trans_a, bool trans_b, int64_t batch,
+                 int64_t m, int64_t n, int64_t k, const float* a,
+                 const float* b, float* c, bool accumulate) {
+  if (batch == 0 || m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) {
+      std::memset(c, 0, sizeof(float) * static_cast<size_t>(batch * m * n));
+    }
+    return;
+  }
+  internal::FloatBuffer a_packed;
+  internal::FloatBuffer b_packed;
+  if (trans_a) {
+    a_packed = internal::AcquireBuffer(batch * m * k);
+    for (int64_t s = 0; s < batch; ++s) {
+      CopyRows(a + s * m * k, m, m, k, true, a_packed.data() + s * m * k, k);
+    }
+    a = a_packed.data();
+  }
+  TileArgs t;
+  t.n = n;
+  t.k = k;
+  t.a = a;
+  t.c = c;
+  t.accumulate = accumulate;
+  int64_t stride_b = k * n;
+  int64_t stride_tail = 0;
+  if (trans_b) {
+    // Packing is locality-only: it never changes the per-element order, so
+    // packed and in-place B produce identical bits.
+    stride_b = PlanPackedSize(k, n, path);
+    b_packed = internal::AcquireBuffer(batch * stride_b);
+    for (int64_t s = 0; s < batch; ++s) {
+      PackB(path, b + s * k * n, k, n, k, true, b_packed.data() + s * stride_b);
+    }
+    t.b = b_packed.data();
+    t.ldb = PackedLd(path, n);
+    t.b_panel = PackedPanel(path, k);
+  } else {
+    // Row-major B is read in place; only a ragged last column block is
+    // packed, so the edge tile still issues full-width in-bounds loads.
+    const int64_t nr = path == GemmPath::kAvx512 ? avx512::kNR : kNR;
+    const int64_t n_direct = n / nr * nr;
+    t.b = b;
+    t.ldb = n;
+    t.b_panel = nr;
+    if (n_direct < n) {
+      stride_tail = PlanPackedSize(k, n - n_direct, path);
+      b_packed = internal::AcquireBuffer(batch * stride_tail);
+      for (int64_t s = 0; s < batch; ++s) {
+        PackB(path, b + s * k * n + n_direct, n, n - n_direct, k, false,
+              b_packed.data() + s * stride_tail);
+      }
+      t.b_tail = b_packed.data();
+    }
+  }
+  RunTiles(path, t, batch, m, m * k, stride_b, stride_tail, PlanAct::kNone);
   if (!a_packed.empty()) internal::ReleaseBuffer(std::move(a_packed));
   if (!b_packed.empty()) internal::ReleaseBuffer(std::move(b_packed));
 }
@@ -700,13 +525,13 @@ void BatchGemmAvx512Impl(bool trans_a, bool trans_b, int64_t batch, int64_t m,
 std::atomic<int> g_gemm_override{static_cast<int>(GemmPath::kAuto)};
 
 /// Bit-exactness probe run once before auto-enabling the AVX-512 path: both
-/// kernels over a ragged-shape battery (full tiles, m/n edges, single row,
+/// paths over a ragged-shape battery (full tiles, m/n edges, single row,
 /// every transpose variant, accumulate) with sign-mixed data, compared
-/// bitwise. Ascending-k ordering makes the kernels geometry-independent, so
+/// bitwise. Ascending-k ordering makes the tiles geometry-independent, so
 /// the only way this can fail is the two translation units contracting
 /// multiply-adds differently (e.g. the main TU built without FMA); in that
-/// case auto resolution stays on the portable kernel and the AVX-512 path is
-/// opt-in via ADAPTRAJ_GEMM=avx512 / SetGemmPath.
+/// case auto resolution stays on the portable path and the AVX-512 path is
+/// reachable only through SetGemmPath.
 bool GemmPathsBitIdentical() {
   struct Case {
     int64_t m, n, k;
@@ -731,10 +556,10 @@ bool GemmPathsBitIdentical() {
     for (int64_t i = 0; i < t.m * t.n; ++i) {
       c_portable[i] = c_avx[i] = t.acc ? next() : 0.0f;
     }
-    GemmPortableImpl(t.ta, t.tb, t.m, t.n, t.k, va.data(), vb.data(),
-                     c_portable.data(), t.acc);
-    GemmAvx512Impl(t.ta, t.tb, t.m, t.n, t.k, va.data(), vb.data(),
-                   c_avx.data(), t.acc);
+    BatchGemmOn(GemmPath::kPortable, t.ta, t.tb, 1, t.m, t.n, t.k, va.data(),
+                vb.data(), c_portable.data(), t.acc);
+    BatchGemmOn(GemmPath::kAvx512, t.ta, t.tb, 1, t.m, t.n, t.k, va.data(),
+                vb.data(), c_avx.data(), t.acc);
     if (std::memcmp(c_portable.data(), c_avx.data(),
                     sizeof(float) * static_cast<size_t>(t.m * t.n)) != 0) {
       return false;
@@ -743,52 +568,43 @@ bool GemmPathsBitIdentical() {
   return true;
 }
 
-/// How kAuto resolved: portable, env-forced AVX-512 (shape heuristic must
-/// not override an explicit force), or probe-enabled AVX-512 (shape-aware).
-enum class GemmDefault { kPortable, kAvx512Forced, kAvx512Probed };
-
-/// kAuto resolution: compiled-in + CPU support gate, then the ADAPTRAJ_GEMM
-/// kill-switch, then the bitwise probe. Resolved once per process.
-GemmDefault ResolveGemmDefault() {
-  if (!avx512::CompiledIn() || !avx512::CpuSupported()) {
-    return GemmDefault::kPortable;
-  }
-  if (const char* env = std::getenv("ADAPTRAJ_GEMM")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "portable") == 0) {
-      return GemmDefault::kPortable;
-    }
-    if (std::strcmp(env, "avx512") == 0 || std::strcmp(env, "force") == 0) {
-      return GemmDefault::kAvx512Forced;
-    }
-  }
-  return GemmPathsBitIdentical() ? GemmDefault::kAvx512Probed
-                                 : GemmDefault::kPortable;
+bool Avx512Available() {
+  return avx512::CompiledIn() && avx512::CpuSupported();
 }
 
-GemmDefault GemmDefaultKind() {
-  static const GemmDefault kind = ResolveGemmDefault();
-  return kind;
+/// Whether kAuto runs AVX-512: compiled-in + CPU support, then the
+/// ADAPTRAJ_GEMM kill-switch, then the bitwise probe. Resolved once per
+/// process.
+bool Avx512ByDefault() {
+  static const bool on = [] {
+    if (!Avx512Available()) return false;
+    if (const char* env = std::getenv("ADAPTRAJ_GEMM")) {
+      if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
+          std::strcmp(env, "portable") == 0) {
+        return false;
+      }
+    }
+    return GemmPathsBitIdentical();
+  }();
+  return on;
+}
+
+GemmPath GemmOverride() {
+  return static_cast<GemmPath>(g_gemm_override.load(std::memory_order_relaxed));
 }
 
 }  // namespace
 
+void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+          const float* a, const float* b, float* c, bool accumulate) {
+  BatchGemm(trans_a, trans_b, 1, m, n, k, a, b, c, accumulate);
+}
+
 void BatchGemm(bool trans_a, bool trans_b, int64_t batch, int64_t m, int64_t n,
                int64_t k, const float* a, const float* b, float* c,
                bool accumulate) {
-  if (batch == 0 || m == 0 || n == 0) return;
-  if (k == 0) {
-    if (!accumulate) {
-      std::memset(c, 0, sizeof(float) * static_cast<size_t>(batch * m * n));
-    }
-    return;
-  }
-  if (GemmPathForShape(n) == GemmPath::kAvx512) {
-    BatchGemmAvx512Impl(trans_a, trans_b, batch, m, n, k, a, b, c, accumulate);
-  } else {
-    BatchGemmPortableImpl(trans_a, trans_b, batch, m, n, k, a, b, c,
-                          accumulate);
-  }
+  BatchGemmOn(GemmPathForShape(n), trans_a, trans_b, batch, m, n, k, a, b, c,
+              accumulate);
 }
 
 void SetGemmPath(GemmPath path) {
@@ -796,36 +612,86 @@ void SetGemmPath(GemmPath path) {
 }
 
 GemmPath SelectGemmPath() {
-  const auto mode =
-      static_cast<GemmPath>(g_gemm_override.load(std::memory_order_relaxed));
-  if (mode == GemmPath::kPortable) return GemmPath::kPortable;
-  if (mode == GemmPath::kAvx512) {
-    return (avx512::CompiledIn() && avx512::CpuSupported())
-               ? GemmPath::kAvx512
-               : GemmPath::kPortable;
+  switch (GemmOverride()) {
+    case GemmPath::kPortable:
+      return GemmPath::kPortable;
+    case GemmPath::kAvx512:
+      return Avx512Available() ? GemmPath::kAvx512 : GemmPath::kPortable;
+    case GemmPath::kAuto:
+      break;
   }
-  return GemmDefaultKind() != GemmDefault::kPortable ? GemmPath::kAvx512
-                                                     : GemmPath::kPortable;
+  return Avx512ByDefault() ? GemmPath::kAvx512 : GemmPath::kPortable;
 }
 
 GemmPath GemmPathForShape(int64_t n) {
-  const auto mode =
-      static_cast<GemmPath>(g_gemm_override.load(std::memory_order_relaxed));
-  if (mode != GemmPath::kAuto) return SelectGemmPath();
-  switch (GemmDefaultKind()) {
-    case GemmDefault::kAvx512Forced:
-      return GemmPath::kAvx512;
-    case GemmDefault::kAvx512Probed:
-      // Below one 32-column panel the 8x32 tile runs mostly masked lanes and
-      // the portable 4x16 kernel measures 2-6x faster (see kernels.h).
-      return n >= avx512::kNR ? GemmPath::kAvx512 : GemmPath::kPortable;
-    case GemmDefault::kPortable:
-      break;
+  // Below one 32-column panel the 8x32 tile runs mostly masked lanes and the
+  // portable tile measures 2-6x faster (see kernels.h); an explicit override
+  // bypasses the heuristic.
+  if (GemmOverride() == GemmPath::kAuto && n < avx512::kNR) {
+    return GemmPath::kPortable;
   }
-  return GemmPath::kPortable;
+  return SelectGemmPath();
 }
 
 bool Avx512GemmCompiledIn() { return avx512::CompiledIn(); }
+
+int64_t PlanPackedSize(int64_t k, int64_t n, GemmPath path) {
+  return path == GemmPath::kAvx512 ? avx512::PackedBSize(n, k)
+                                   : k * RoundUpNR(n);
+}
+
+void PlanPackWeightFor(const float* w, int64_t k, int64_t n, GemmPath path,
+                       float* dst) {
+  PackB(path, w, n, n, k, /*trans=*/false, dst);
+}
+
+int64_t PlanPackedBiasSize(int64_t n, GemmPath path) {
+  return path == GemmPath::kAvx512 ? avx512::RoundUpNR(n) : RoundUpNR(n);
+}
+
+void PlanPackBiasFor(const float* b, int64_t n, GemmPath path, float* dst) {
+  const int64_t padded = PlanPackedBiasSize(n, path);
+  std::memcpy(dst, b, static_cast<size_t>(n) * sizeof(float));
+  std::fill(dst + n, dst + padded, 0.0f);
+}
+
+void PlanGemm(int64_t m, int64_t n, int64_t k, const float* a, const float* bp,
+              int64_t k2, const float* a2, const float* bp2,
+              const float* biasp, PlanAct act, float* c, GemmPath packed_for) {
+  if (m == 0 || n == 0) return;
+  TileArgs t;
+  t.n = n;
+  t.k = k;
+  t.a = a;
+  t.b = bp;
+  t.ldb = PackedLd(packed_for, n);
+  t.b_panel = PackedPanel(packed_for, k);
+  if (a2 != nullptr) {
+    t.k2 = k2;
+    t.a2 = a2;
+    t.b2 = bp2;
+    t.b2_panel = PackedPanel(packed_for, k2);
+  }
+  t.bias = biasp;
+  t.relu = act == PlanAct::kRelu;
+  t.c = c;
+  RunTiles(packed_for, t, 1, m, 0, 0, 0, act);
+}
+
+void GemmNaive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+               const float* a, const float* b, float* c, bool accumulate) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = accumulate ? c[i * n + j] : 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = trans_a ? a[p * m + i] : a[i * k + p];
+        const float bv = trans_b ? b[j * k + p] : b[p * n + j];
+        acc += av * bv;
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
 
 void BatchGemmNaive(bool trans_a, bool trans_b, int64_t batch, int64_t m,
                     int64_t n, int64_t k, const float* a, const float* b,
@@ -836,61 +702,12 @@ void BatchGemmNaive(bool trans_a, bool trans_b, int64_t batch, int64_t m,
   }
 }
 
-void SetTranscendentalPath(TranscendentalPath path) {
-  g_transcendental_override.store(static_cast<int>(path), std::memory_order_relaxed);
-}
-
-bool SimdTranscendentalsActive() {
-#ifdef ADAPTRAJ_HAVE_VEC16
-  const auto mode = static_cast<TranscendentalPath>(
-      g_transcendental_override.load(std::memory_order_relaxed));
-  if (mode == TranscendentalPath::kSimd) return true;
-  if (mode == TranscendentalPath::kScalar) return false;
-  static const bool simd_default = ResolveSimdDefault();
-  return simd_default;
-#else
-  return false;
-#endif
-}
-
-void ExpForward(const float* x, float* y, int64_t n) {
-#ifdef ADAPTRAJ_HAVE_VEC16
-  if (SimdTranscendentalsActive()) {
-    VecMap(x, y, n, [](Vec16 v) { return VecExp(v); });
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) y[i] = std::exp(x[i]);
-}
-
-void TanhForward(const float* x, float* y, int64_t n) {
-#ifdef ADAPTRAJ_HAVE_VEC16
-  if (SimdTranscendentalsActive()) {
-    VecMap(x, y, n, [](Vec16 v) { return VecTanh(v); });
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-}
-
-void SigmoidForward(const float* x, float* y, int64_t n) {
-#ifdef ADAPTRAJ_HAVE_VEC16
-  if (SimdTranscendentalsActive()) {
-    VecMap(x, y, n, [](Vec16 v) { return VecSigmoid(v); });
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) y[i] = SigmoidF(x[i]);
-}
-
 // --- Optimizer and gradient-reduction kernels --------------------------------
 
 namespace {
 
 /// Elements per parallel chunk for the memory-bound optimizer loops.
 constexpr int64_t kUpdateGrain = 1 << 15;
-
-#ifdef ADAPTRAJ_HAVE_VEC16
 
 /// Lane-wise IEEE sqrt. Hardware sqrt instructions are correctly rounded,
 /// so every variant below is bit-identical to std::sqrt per lane (inputs are
@@ -921,8 +738,6 @@ inline Vec16 VecSqrt(Vec16 x) {
 #endif
 }
 
-#endif  // ADAPTRAJ_HAVE_VEC16
-
 }  // namespace
 
 void ReduceGradSum(const float* const* srcs, int num_srcs, float scale,
@@ -930,14 +745,12 @@ void ReduceGradSum(const float* const* srcs, int num_srcs, float scale,
   if (n == 0 || num_srcs <= 0) return;
   parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
     int64_t i = lo;
-#ifdef ADAPTRAJ_HAVE_VEC16
     const Vec16 vscale = Splat(scale);
     for (; i + 16 <= hi; i += 16) {
       Vec16 acc = LoadVec16(srcs[0] + i);
       for (int s = 1; s < num_srcs; ++s) acc = acc + LoadVec16(srcs[s] + i);
       StoreVec16(dst + i, acc * vscale);
     }
-#endif
     for (; i < hi; ++i) {
       float acc = srcs[0][i];
       for (int s = 1; s < num_srcs; ++s) acc += srcs[s][i];
@@ -951,7 +764,6 @@ void AdamUpdate(float* param, const float* grad, float* m, float* v, int64_t n,
                 float weight_decay, float bc1, float bc2) {
   parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
     int64_t i = lo;
-#ifdef ADAPTRAJ_HAVE_VEC16
     const Vec16 vb1 = Splat(beta1), vcb1 = Splat(1.0f - beta1);
     const Vec16 vb2 = Splat(beta2), vcb2 = Splat(1.0f - beta2);
     const Vec16 vwd = Splat(weight_decay), vlr = Splat(lr);
@@ -967,7 +779,6 @@ void AdamUpdate(float* param, const float* grad, float* m, float* v, int64_t n,
       p = p - vlr * (mv / vbc1) / (VecSqrt(vv / vbc2) + veps);
       StoreVec16(param + i, p);
     }
-#endif
     for (; i < hi; ++i) {
       float g = grad[i];
       if (weight_decay != 0.0f) g += weight_decay * param[i];
@@ -984,7 +795,6 @@ void SgdUpdate(float* param, const float* grad, float* velocity, int64_t n,
                float lr, float momentum) {
   parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
     int64_t i = lo;
-#ifdef ADAPTRAJ_HAVE_VEC16
     const Vec16 vlr = Splat(lr), vmom = Splat(momentum);
     if (momentum != 0.0f) {
       for (; i + 16 <= hi; i += 16) {
@@ -997,7 +807,6 @@ void SgdUpdate(float* param, const float* grad, float* velocity, int64_t n,
         StoreVec16(param + i, LoadVec16(param + i) - vlr * LoadVec16(grad + i));
       }
     }
-#endif
     for (; i < hi; ++i) {
       float g = grad[i];
       if (momentum != 0.0f) {
@@ -1013,11 +822,9 @@ void SoftmaxRow(const float* x, float* y, int64_t n) {
   if (n == 0) return;
   float mx = x[0];
   for (int64_t i = 1; i < n; ++i) mx = std::max(mx, x[i]);
-#ifdef ADAPTRAJ_HAVE_VEC16
   if (SimdTranscendentalsActive()) {
     VecMap(x, y, n, [mx](Vec16 v) { return VecExp(v - mx); });
   } else
-#endif
   {
     for (int64_t i = 0; i < n; ++i) y[i] = std::exp(x[i] - mx);
   }
@@ -1057,7 +864,6 @@ void LstmForwardCRows(const float* gates, const float* c_prev, int64_t hidden,
     const float* g = gates + r * 4 * hidden;
     const float* cp = c_prev + r * hidden;
     float* cn = c_next + r * hidden;
-#ifdef ADAPTRAJ_HAVE_VEC16
     if (simd) {
       int64_t j = 0;
       for (; j + 16 <= hidden; j += 16) {
@@ -1075,9 +881,6 @@ void LstmForwardCRows(const float* gates, const float* c_prev, int64_t hidden,
       }
       continue;
     }
-#else
-    (void)simd;
-#endif
     for (int64_t j = 0; j < hidden; ++j) {
       const float i_act = SigmoidF(g[j]);
       const float f_act = SigmoidF(g[hidden + j]);
@@ -1093,7 +896,6 @@ void LstmForwardHRows(const float* gates, const float* c_next, int64_t hidden,
     const float* g = gates + r * 4 * hidden;
     const float* cn = c_next + r * hidden;
     float* hn = h_next + r * hidden;
-#ifdef ADAPTRAJ_HAVE_VEC16
     if (simd) {
       int64_t j = 0;
       for (; j + 16 <= hidden; j += 16) {
@@ -1107,9 +909,6 @@ void LstmForwardHRows(const float* gates, const float* c_next, int64_t hidden,
       }
       continue;
     }
-#else
-    (void)simd;
-#endif
     for (int64_t j = 0; j < hidden; ++j) {
       const float o_act = SigmoidF(g[3 * hidden + j]);
       hn[j] = o_act * std::tanh(cn[j]);
@@ -1117,7 +916,6 @@ void LstmForwardHRows(const float* gates, const float* c_next, int64_t hidden,
   }
 }
 
-#ifdef ADAPTRAJ_HAVE_VEC16
 /// dst[0:w] += v[0:w] (w <= 16).
 inline void AccumulatePartial(float* dst, Vec16 v, int64_t w) {
   StorePartial16(dst, LoadPartial16(dst, w) + v, w);
@@ -1126,7 +924,6 @@ inline void AccumulatePartial(float* dst, Vec16 v, int64_t w) {
 inline void Accumulate16(float* dst, Vec16 v) {
   StoreVec16(dst, LoadVec16(dst) + v);
 }
-#endif
 
 void LstmBackwardCRows(const float* gates, const float* c_prev, const float* dc,
                        int64_t hidden, float* d_gates, float* d_c_prev,
@@ -1137,7 +934,6 @@ void LstmBackwardCRows(const float* gates, const float* c_prev, const float* dc,
     const float* d = dc + r * hidden;
     float* dg = d_gates ? d_gates + r * 4 * hidden : nullptr;
     float* dcp = d_c_prev ? d_c_prev + r * hidden : nullptr;
-#ifdef ADAPTRAJ_HAVE_VEC16
     if (simd) {
       int64_t j = 0;
       for (; j + 16 <= hidden; j += 16) {
@@ -1169,9 +965,6 @@ void LstmBackwardCRows(const float* gates, const float* c_prev, const float* dc,
       }
       continue;
     }
-#else
-    (void)simd;
-#endif
     for (int64_t j = 0; j < hidden; ++j) {
       const float i_act = SigmoidF(g[j]);
       const float f_act = SigmoidF(g[hidden + j]);
@@ -1196,7 +989,6 @@ void LstmBackwardHRows(const float* gates, const float* c_next, const float* dh,
     const float* d = dh + r * hidden;
     float* dg = d_gates ? d_gates + r * 4 * hidden : nullptr;
     float* dcn = d_c_next ? d_c_next + r * hidden : nullptr;
-#ifdef ADAPTRAJ_HAVE_VEC16
     if (simd) {
       int64_t j = 0;
       for (; j + 16 <= hidden; j += 16) {
@@ -1220,9 +1012,6 @@ void LstmBackwardHRows(const float* gates, const float* c_next, const float* dh,
       }
       continue;
     }
-#else
-    (void)simd;
-#endif
     for (int64_t j = 0; j < hidden; ++j) {
       const float o_act = SigmoidF(g[3 * hidden + j]);
       const float t = std::tanh(cn[j]);
@@ -1241,7 +1030,6 @@ void LstmForwardCHRows(const float* gates, const float* c_prev, int64_t hidden,
     const float* cp = c_prev + r * hidden;
     float* cn = c_next + r * hidden;
     float* hn = h_next + r * hidden;
-#ifdef ADAPTRAJ_HAVE_VEC16
     if (simd) {
       int64_t j = 0;
       for (; j + 16 <= hidden; j += 16) {
@@ -1265,9 +1053,6 @@ void LstmForwardCHRows(const float* gates, const float* c_prev, int64_t hidden,
       }
       continue;
     }
-#else
-    (void)simd;
-#endif
     for (int64_t j = 0; j < hidden; ++j) {
       const float i_act = SigmoidF(g[j]);
       const float f_act = SigmoidF(g[hidden + j]);
@@ -1314,42 +1099,6 @@ void LstmCellBackwardH(const float* gates, const float* c_next, const float* dh,
   parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
     LstmBackwardHRows(gates, c_next, dh, hidden, d_gates, d_c_next, r0, r1, simd);
   });
-}
-
-// --- Planned-execution kernels -----------------------------------------------
-
-int64_t PlanPackedCols(int64_t n) { return RoundUpNR(n); }
-
-void PlanPackWeight(const float* w, int64_t k, int64_t n, float* dst) {
-  const int64_t np = PlanPackedCols(n);
-  for (int64_t p = 0; p < k; ++p) {
-    std::memcpy(dst + p * np, w + p * n, static_cast<size_t>(n) * sizeof(float));
-    std::fill(dst + p * np + n, dst + (p + 1) * np, 0.0f);
-  }
-}
-
-int64_t PlanPackedSize(int64_t k, int64_t n, GemmPath path) {
-  return path == GemmPath::kAvx512 ? avx512::PackedBSize(n, k)
-                                   : k * PlanPackedCols(n);
-}
-
-void PlanPackWeightFor(const float* w, int64_t k, int64_t n, GemmPath path,
-                       float* dst) {
-  if (path == GemmPath::kAvx512) {
-    PackBAvx512(w, n, k, /*trans_b=*/false, dst);
-  } else {
-    PlanPackWeight(w, k, n, dst);
-  }
-}
-
-int64_t PlanPackedBiasSize(int64_t n, GemmPath path) {
-  return path == GemmPath::kAvx512 ? avx512::RoundUpNR(n) : PlanPackedCols(n);
-}
-
-void PlanPackBiasFor(const float* b, int64_t n, GemmPath path, float* dst) {
-  const int64_t padded = PlanPackedBiasSize(n, path);
-  std::memcpy(dst, b, static_cast<size_t>(n) * sizeof(float));
-  std::fill(dst + n, dst + padded, 0.0f);
 }
 
 void LstmCellForwardCH(const float* gates, const float* c_prev, int64_t batch,
@@ -1403,278 +1152,6 @@ void LayerNormRows(const float* x, int64_t rows, int64_t cols, float eps,
       for (int64_t j = 0; j < cols; ++j) yr[j] *= inv;
     }
   });
-}
-
-namespace {
-
-#ifdef ADAPTRAJ_HAVE_VEC16
-
-/// Planned-GEMM register tile: MW rows x NB 16-lane column blocks. Both
-/// products accumulate in registers over their full ascending k ranges, then
-/// the bias add and the activation run as a register epilogue — per output
-/// element this is exactly the eager Gemm(+accumulate Gemm)+AddRowBias+act
-/// arithmetic, since every lane is independent and the store/load roundtrip
-/// between the eager ops is a bit-exact float identity. Three separately
-/// named accumulator arrays (rather than one [MW][NB]) keep GCC from
-/// spilling at MW=4, NB=3 — the shape the FMA-throughput probe picked.
-template <int MW, int NB>
-void PlanTileImpl(int64_t k, const float* a, int64_t lda, const float* bp,
-                  int64_t ldb, int64_t k2, const float* a2, int64_t lda2,
-                  const float* bp2, int64_t ldb2, const float* biasp,
-                  PlanAct act, bool simd_act, float* c, int64_t ldc,
-                  int64_t ncols) {
-  static_assert(NB >= 1 && NB <= 3, "tile is 16/32/48 columns wide");
-  Vec16 au[MW], av[MW], aw[MW];
-  const Vec16 zero = Vec16{} * 0.0f;
-  for (int r = 0; r < MW; ++r) {
-    au[r] = zero;
-    if (NB > 1) av[r] = zero;
-    if (NB > 2) aw[r] = zero;
-  }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC unroll 8
-#endif
-  for (int64_t p = 0; p < k; ++p) {
-    const float* br = bp + p * ldb;
-    const Vec16 u = LoadVec16(br);
-    Vec16 v{}, w{};
-    if (NB > 1) v = LoadVec16(br + 16);
-    if (NB > 2) w = LoadVec16(br + 32);
-    for (int r = 0; r < MW; ++r) {
-      const float x = a[r * lda + p];
-      au[r] += x * u;
-      if (NB > 1) av[r] += x * v;
-      if (NB > 2) aw[r] += x * w;
-    }
-  }
-  if (a2 != nullptr) {
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC unroll 8
-#endif
-    for (int64_t p = 0; p < k2; ++p) {
-      const float* br = bp2 + p * ldb2;
-      const Vec16 u = LoadVec16(br);
-      Vec16 v{}, w{};
-      if (NB > 1) v = LoadVec16(br + 16);
-      if (NB > 2) w = LoadVec16(br + 32);
-      for (int r = 0; r < MW; ++r) {
-        const float x = a2[r * lda2 + p];
-        au[r] += x * u;
-        if (NB > 1) av[r] += x * v;
-        if (NB > 2) aw[r] += x * w;
-      }
-    }
-  }
-  if (biasp != nullptr) {
-    const Vec16 bu = LoadVec16(biasp);
-    const Vec16 bv = NB > 1 ? LoadVec16(biasp + 16) : zero;
-    const Vec16 bw = NB > 2 ? LoadVec16(biasp + 32) : zero;
-    for (int r = 0; r < MW; ++r) {
-      au[r] += bu;
-      if (NB > 1) av[r] += bv;
-      if (NB > 2) aw[r] += bw;
-    }
-  }
-  if (act == PlanAct::kRelu) {
-    for (int r = 0; r < MW; ++r) {
-      au[r] = au[r] > 0.0f ? au[r] : zero;
-      if (NB > 1) av[r] = av[r] > 0.0f ? av[r] : zero;
-      if (NB > 2) aw[r] = aw[r] > 0.0f ? aw[r] : zero;
-    }
-  } else if (simd_act && act == PlanAct::kTanh) {
-    for (int r = 0; r < MW; ++r) {
-      au[r] = VecTanh(au[r]);
-      if (NB > 1) av[r] = VecTanh(av[r]);
-      if (NB > 2) aw[r] = VecTanh(aw[r]);
-    }
-  } else if (simd_act && act == PlanAct::kSigmoid) {
-    for (int r = 0; r < MW; ++r) {
-      au[r] = VecSigmoid(au[r]);
-      if (NB > 1) av[r] = VecSigmoid(av[r]);
-      if (NB > 2) aw[r] = VecSigmoid(aw[r]);
-    }
-  }
-  for (int r = 0; r < MW; ++r) {
-    float* cr = c + r * ldc;
-    if (NB == 1) {
-      StorePartial16(cr, au[r], ncols);
-    } else if (NB == 2) {
-      StoreVec16(cr, au[r]);
-      StorePartial16(cr + 16, av[r], ncols - 16);
-    } else {
-      StoreVec16(cr, au[r]);
-      StoreVec16(cr + 16, av[r]);
-      StorePartial16(cr + 32, aw[r], ncols - 32);
-    }
-  }
-}
-
-template <int NB>
-inline void PlanTileRow(int64_t mw, int64_t k, const float* a, int64_t lda,
-                        const float* bp, int64_t ldb, int64_t k2,
-                        const float* a2, int64_t lda2, const float* bp2,
-                        int64_t ldb2, const float* biasp, PlanAct act,
-                        bool simd_act, float* c, int64_t ldc, int64_t ncols) {
-  switch (mw) {
-    case 1:
-      PlanTileImpl<1, NB>(k, a, lda, bp, ldb, k2, a2, lda2, bp2, ldb2, biasp,
-                          act, simd_act, c, ldc, ncols);
-      break;
-    case 2:
-      PlanTileImpl<2, NB>(k, a, lda, bp, ldb, k2, a2, lda2, bp2, ldb2, biasp,
-                          act, simd_act, c, ldc, ncols);
-      break;
-    case 3:
-      PlanTileImpl<3, NB>(k, a, lda, bp, ldb, k2, a2, lda2, bp2, ldb2, biasp,
-                          act, simd_act, c, ldc, ncols);
-      break;
-    default:
-      PlanTileImpl<4, NB>(k, a, lda, bp, ldb, k2, a2, lda2, bp2, ldb2, biasp,
-                          act, simd_act, c, ldc, ncols);
-      break;
-  }
-}
-
-#endif  // ADAPTRAJ_HAVE_VEC16
-
-/// Scalar PlanGemm body: the portable fallback, and the tail pass that
-/// applies scalar-libm activations when the SIMD transcendental path is off
-/// (the tiles then run with act == kNone so the pre-activation values match
-/// the eager Gemm+bias chain, and this pass applies exactly the eager
-/// scalar TanhForward/SigmoidForward arithmetic).
-[[maybe_unused]] void PlanGemmScalarRows(
-    int64_t n, int64_t k, const float* a, const float* bp,
-                        int64_t ldb, int64_t k2, const float* a2,
-                        const float* bp2, int64_t ldb2, const float* biasp,
-                        PlanAct act, float* c, int64_t i0, int64_t i1) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ar = a + i * k;
-    const float* ar2 = a2 != nullptr ? a2 + i * k2 : nullptr;
-    float* cr = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += ar[p] * bp[p * ldb + j];
-      if (ar2 != nullptr) {
-        for (int64_t p = 0; p < k2; ++p) acc += ar2[p] * bp2[p * ldb2 + j];
-      }
-      if (biasp != nullptr) acc += biasp[j];
-      switch (act) {
-        case PlanAct::kNone: break;
-        case PlanAct::kRelu: acc = acc > 0.0f ? acc : 0.0f; break;
-        case PlanAct::kTanh: acc = std::tanh(acc); break;
-        case PlanAct::kSigmoid: acc = SigmoidF(acc); break;
-      }
-      cr[j] = acc;
-    }
-  }
-}
-
-/// AVX-512 PlanGemm body: the 8x32 fused tile computes products + bias +
-/// relu in registers (exact operations, safe across TUs); tanh/sigmoid
-/// epilogues run as a second pass over the stored pre-activations INSIDE the
-/// same row-panel worker, using this TU's transcendental code — the same
-/// VecTanh/VecSigmoid (or scalar libm) arithmetic as the eager
-/// TanhForward/SigmoidForward, so replay stays bit-identical to eager no
-/// matter how kernels_avx512.cpp's TU would have contracted them. The
-/// store/reload between passes is a bit-exact float identity, and VecMap's
-/// zero-padded remainder makes the per-row-panel application identical to
-/// the eager whole-tensor pass.
-void PlanGemmAvx512(int64_t m, int64_t n, int64_t k, const float* a,
-                    const float* bp, int64_t k2, const float* a2,
-                    const float* bp2, const float* biasp, PlanAct act,
-                    float* c) {
-  const int tile_act = act == PlanAct::kRelu ? 1 : 0;
-  const bool transcendental = act == PlanAct::kTanh || act == PlanAct::kSigmoid;
-#ifdef ADAPTRAJ_HAVE_VEC16
-  const bool simd_act = transcendental && SimdTranscendentalsActive();
-#endif
-  parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-    avx512::PlanGemmRows(i0, i1, n, k, a, k, bp, k2, a2, k2, bp2, biasp,
-                         tile_act, c, n);
-    if (!transcendental) return;
-    float* cr = c + i0 * n;
-    const int64_t elems = (i1 - i0) * n;
-#ifdef ADAPTRAJ_HAVE_VEC16
-    if (simd_act) {
-      if (act == PlanAct::kTanh) {
-        VecMap(cr, cr, elems, [](Vec16 v) { return VecTanh(v); });
-      } else {
-        VecMap(cr, cr, elems, [](Vec16 v) { return VecSigmoid(v); });
-      }
-      return;
-    }
-#endif
-    if (act == PlanAct::kTanh) {
-      for (int64_t i = 0; i < elems; ++i) cr[i] = std::tanh(cr[i]);
-    } else {
-      for (int64_t i = 0; i < elems; ++i) cr[i] = SigmoidF(cr[i]);
-    }
-  });
-}
-
-}  // namespace
-
-void PlanGemm(int64_t m, int64_t n, int64_t k, const float* a, const float* bp,
-              int64_t k2, const float* a2, const float* bp2,
-              const float* biasp, PlanAct act, float* c, GemmPath packed_for) {
-  if (m == 0 || n == 0) return;
-  if (packed_for == GemmPath::kAvx512) {
-    PlanGemmAvx512(m, n, k, a, bp, k2, a2, bp2, biasp, act, c);
-    return;
-  }
-#ifdef ADAPTRAJ_HAVE_VEC16
-  const int64_t np = PlanPackedCols(n);
-  const int64_t np2 = a2 != nullptr ? np : 0;
-  const bool simd_act = SimdTranscendentalsActive();
-  const bool scalar_transcendental =
-      !simd_act && (act == PlanAct::kTanh || act == PlanAct::kSigmoid);
-  const PlanAct tile_act = scalar_transcendental ? PlanAct::kNone : act;
-  parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-    int64_t j0 = 0;
-    while (j0 < n) {
-      const int64_t rem = np - j0;
-      const int64_t bw = rem >= 48 ? 48 : rem >= 32 ? 32 : 16;
-      const int64_t ncols = std::min(n - j0, bw);
-      const float* bp2_blk = a2 != nullptr ? bp2 + j0 : nullptr;
-      const float* bias_blk = biasp != nullptr ? biasp + j0 : nullptr;
-      for (int64_t i = i0; i < i1; i += kMR) {
-        const int64_t mw = std::min(kMR, i1 - i);
-        const float* ar = a + i * k;
-        const float* ar2 = a2 != nullptr ? a2 + i * k2 : nullptr;
-        float* cr = c + i * n + j0;
-        if (bw == 48) {
-          PlanTileRow<3>(mw, k, ar, k, bp + j0, np, k2, ar2, k2, bp2_blk, np2,
-                         bias_blk, tile_act, simd_act, cr, n, ncols);
-        } else if (bw == 32) {
-          PlanTileRow<2>(mw, k, ar, k, bp + j0, np, k2, ar2, k2, bp2_blk, np2,
-                         bias_blk, tile_act, simd_act, cr, n, ncols);
-        } else {
-          PlanTileRow<1>(mw, k, ar, k, bp + j0, np, k2, ar2, k2, bp2_blk, np2,
-                         bias_blk, tile_act, simd_act, cr, n, ncols);
-        }
-      }
-      j0 += bw;
-    }
-    if (scalar_transcendental) {
-      // Same per-element scalar-libm arithmetic as the eager
-      // TanhForward/SigmoidForward pass over the stored pre-activations.
-      for (int64_t i = i0; i < i1; ++i) {
-        float* cr = c + i * n;
-        if (act == PlanAct::kTanh) {
-          for (int64_t j = 0; j < n; ++j) cr[j] = std::tanh(cr[j]);
-        } else {
-          for (int64_t j = 0; j < n; ++j) cr[j] = SigmoidF(cr[j]);
-        }
-      }
-    }
-  });
-#else
-  const int64_t np = PlanPackedCols(n);
-  parallel::ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
-    PlanGemmScalarRows(n, k, a, bp, np, k2, a2, bp2, a2 != nullptr ? np : 0,
-                       biasp, act, c, i0, i1);
-  });
-#endif
 }
 
 }  // namespace kernels

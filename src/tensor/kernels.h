@@ -4,13 +4,13 @@
 // serves MatMul's forward pass and both of its backward passes (dA = dY·Bᵀ,
 // dB = Aᵀ·dY accumulate straight into gradient storage — no scratch, no
 // transposed temporaries at the op layer). Gemm packs transposed operands
-// into contiguous panels and tiles the output into register micro-kernels
-// (explicit vector accumulators held across the whole k loop) — an 8x32
-// AVX-512 tile or the portable 4x16 tile, chosen at runtime (see "GEMM
-// micro-kernel dispatch" below) — splitting row panels across the
-// parallel::ParallelFor pool. The reduction order over k is ascending in
-// every variant and independent of the thread count and tile geometry, so
-// results are bit-identical to the serial reference run to run.
+// into contiguous panels and tiles the output into register tiles (explicit
+// vector accumulators held across the whole k loop) — the 8x32 AVX-512 tile
+// or the portable tile, chosen at runtime (see "GEMM dispatch" below) —
+// splitting row panels across the parallel::ParallelFor pool. The reduction
+// order over k is ascending on both paths and independent of the thread
+// count and tile geometry, so results are bit-identical to the serial
+// reference run to run.
 //
 // The LstmCell* kernels fuse the per-gate sigmoid/tanh activations (and
 // their backward forms) into single passes over the [B, 4H] gate buffer,
@@ -21,7 +21,9 @@
 // product is one kernel launch, and the SIMD transcendental block replaces
 // the scalar std::exp/std::tanh inner loops of the gate kernels and the
 // Softmax/Exp/Tanh/Sigmoid ops with vectorized approximations (scalar libm
-// fallback gated at compile and run time — see TranscendentalPath).
+// fallback gated at run time — see TranscendentalPath). The kernels are
+// written with GCC/Clang vector extensions, so they need one of those
+// compilers.
 
 #ifndef ADAPTRAJ_TENSOR_KERNELS_H_
 #define ADAPTRAJ_TENSOR_KERNELS_H_
@@ -44,11 +46,11 @@ void GemmNaive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 /// Batched GEMM over `batch` independent slices: C[b] (+)= op(A[b])·op(B[b]).
 /// Slices are dense and contiguous (strides m·k / k·n / m·n), so a [B,M,K] x
-/// [B,K,N] tensor product is one call. Each slice runs the same packed 4x16
-/// micro-kernel as Gemm; work is split across the thread pool as
-/// (slice, row-panel) pairs with static chunk boundaries that depend only on
-/// the extents — results are bit-identical for any thread count, and equal to
-/// calling Gemm per slice. batch == 0 and k == 0 are handled natively.
+/// [B,K,N] tensor product is one call. Gemm is BatchGemm with batch 1; work
+/// is split across the thread pool as
+/// (slice, 32-row panel) pairs with static chunk boundaries that depend only
+/// on the extents — results are bit-identical for any thread count, and equal
+/// to calling Gemm per slice. batch == 0 and k == 0 are handled natively.
 void BatchGemm(bool trans_a, bool trans_b, int64_t batch, int64_t m, int64_t n,
                int64_t k, const float* a, const float* b, float* c,
                bool accumulate);
@@ -58,50 +60,50 @@ void BatchGemmNaive(bool trans_a, bool trans_b, int64_t batch, int64_t m,
                     int64_t n, int64_t k, const float* a, const float* b,
                     float* c, bool accumulate);
 
-// --- GEMM micro-kernel dispatch ----------------------------------------------
+// --- GEMM dispatch -----------------------------------------------------------
 //
-// Gemm/BatchGemm/PlanGemm run one of two register-tiled kernels:
+// Gemm, BatchGemm and PlanGemm are one driver: it packs what needs packing
+// (a transposed A, a transposed B, the ragged last column block of a B read
+// in place; PlanGemm's weights arrive pre-packed), splits (slice, 32-row
+// panel) work items across the pool, and runs one of two register tiles:
 //
-//   kAvx512   8x32 tiles (16 zmm accumulators), k-unrolled FMA under
-//             row/k cache blocking; non-transposed eager B is read in place
-//             (only the ragged column tail is packed), other layouts go
-//             through panel-major packed B (gemm_avx512.h). Lives in its own
-//             TU compiled with -mavx512f.
-//   kPortable 4x16 tiles on GCC vector extensions — compiles everywhere and
-//             is the fallback and the reference for the probe below.
+//   kAvx512   8x32 tiles (16 zmm accumulators), k-unrolled FMA. Lives in
+//             its own TU compiled with -mavx512f (gemm_avx512.h).
+//   kPortable up to 8x16 / 4x48 tiles on GCC vector extensions — compiles
+//             everywhere and is the fallback and the reference for the probe
+//             below.
 //
-// Both kernels accumulate each output element over ascending k, so tile
-// geometry never changes results; the only cross-kernel bit hazard is FMA
-// contraction differing between translation units. The auto resolution
-// therefore runs a one-time startup probe — both kernels over a ragged shape
-// battery (edges, transposes, accumulate), compared bitwise — and enables
-// the AVX-512 path only when it is bit-identical to the portable kernel on
-// this build/host. Resolution order:
+// Each tile accumulates one or two products per output element over
+// ascending k, starting from C or zero, then adds the bias and applies relu
+// in registers; tanh/sigmoid run as a post-pass over each work item's rows
+// in kernels.cpp's TU. Tile geometry therefore never changes results; the
+// only cross-path bit hazard is FMA contraction differing between
+// translation units. The auto resolution runs a one-time startup probe —
+// both paths over a ragged shape battery (edges, transposes, accumulate),
+// compared bitwise — and enables the AVX-512 path only when it is
+// bit-identical to the portable one on this build/host. Resolution order:
 //
 //   1. SetGemmPath override (tests/benches), if not kAuto;
-//   2. ADAPTRAJ_GEMM env: "0" / "off" / "portable" force the portable
-//      kernel; "avx512" / "force" force the AVX-512 path (skipping the
-//      probe; still requires compiled-in + CPU support); unset or "auto"
-//      fall through;
+//   2. ADAPTRAJ_GEMM env: "0" / "off" / "portable" force the portable path
+//      (the rollback switch); unset or anything else falls through;
 //   3. compiled-in + CPU support + the bitwise probe.
 //
 // The resolved path is process-wide, but probe-resolved auto mode is
 // additionally SHAPE-AWARE: the 8x32 tile wastes more than half its vector
-// lanes below one panel width, and measured crossover puts the portable
-// 4x16 kernel 2-6x ahead for n < 32 (LSTM gate slivers, tiny heads), so
-// auto routes n < 32 to the portable kernel and n >= 32 to AVX-512. An
-// explicit SetGemmPath override or ADAPTRAJ_GEMM=avx512/force bypasses the
-// heuristic (tests rely on forcing the micro-kernel at sub-panel shapes).
-// Mixing paths by shape cannot perturb results: auto only enables AVX-512
-// when the probe proved it bit-identical to the portable kernel. Compiled
-// plans record the per-step path their weights were packed for and replay
-// with that path, so flipping the override between capture and replay
-// cannot misread a packed layout.
+// lanes below one panel width, and measured crossover puts the portable tile
+// 2-6x ahead for n < 32 (LSTM gate slivers, tiny heads), so auto routes
+// n < 32 to the portable path and n >= 32 to AVX-512. An explicit SetGemmPath
+// override bypasses the heuristic (tests rely on forcing the AVX-512 tile at
+// sub-panel shapes). Mixing paths by shape cannot perturb results: auto only
+// enables AVX-512 when the probe proved it bit-identical to the portable
+// path. Compiled plans record the per-step path their weights were packed
+// for and replay with that path, so flipping the override between capture
+// and replay cannot misread a packed layout.
 
 enum class GemmPath {
   kAuto = 0,    // env + probe resolution (the default)
-  kAvx512,      // force the 8x32 AVX-512 micro-kernel (if compiled + CPU)
-  kPortable,    // force the portable 4x16 kernel
+  kAvx512,      // force the 8x32 AVX-512 tile (if compiled + CPU)
+  kPortable,    // force the portable tile
 };
 
 /// Overrides the path used by Gemm/BatchGemm and for packing NEW plans.
@@ -114,11 +116,11 @@ void SetGemmPath(GemmPath path);
 GemmPath SelectGemmPath();
 
 /// The path a product with n output columns will take: SelectGemmPath
-/// narrowed by the n >= 32 auto-mode heuristic above. Explicit overrides and
-/// ADAPTRAJ_GEMM=avx512/force win over the heuristic.
+/// narrowed by the n >= 32 auto-mode heuristic above. An explicit override
+/// wins over the heuristic.
 GemmPath GemmPathForShape(int64_t n);
 
-/// True when this binary contains the AVX-512 kernels at all.
+/// True when this binary contains the AVX-512 tile at all.
 bool Avx512GemmCompiledIn();
 
 // --- SIMD transcendentals ----------------------------------------------------
@@ -130,15 +132,15 @@ bool Avx512GemmCompiledIn();
 // on a zero-padded tile, so results are independent of how a range is split
 // into chunks (and therefore of the thread count).
 //
-// The active path is resolved once per process: the compiler must support GCC
-// vector extensions, the ADAPTRAJ_SIMD environment variable must not disable
-// it ("0" / "off" / "scalar" force libm; unset or anything else leaves SIMD
-// on), and a startup accuracy sweep against libm must pass. Tests and
-// benchmarks can pin the path explicitly with SetTranscendentalPath.
+// The active path is resolved once per process: the ADAPTRAJ_SIMD
+// environment variable must not disable it ("0" / "off" / "scalar" force
+// libm; unset or anything else leaves SIMD on), and a startup accuracy sweep
+// against libm must pass. Tests and benchmarks can pin the path explicitly
+// with SetTranscendentalPath.
 
 enum class TranscendentalPath {
   kAuto = 0,    // env + accuracy-gated resolution (the default)
-  kSimd,        // force the vector approximations (if compiled in)
+  kSimd,        // force the vector approximations
   kScalar,      // force scalar libm
 };
 
@@ -204,27 +206,19 @@ void SgdUpdate(float* param, const float* grad, float* velocity, int64_t n,
 //
 // These back src/tensor/plan.{h,cpp}: replay-time kernels that assume the
 // plan optimizer pre-packed the weight operand at capture time. PlanGemm is
-// the workhorse — one fused register pass covering Affine (x·W + b),
-// LinearGates' dual product (x·Wa + h·Wb + b) and a folded relu/tanh/sigmoid
-// epilogue. The k reduction is ascending and the epilogue applies the same
-// per-element arithmetic as the separate Gemm + AddRowBias + activation ops
-// (bias added once after the full accumulation, activations on the active
-// transcendental path), so fused results are bit-identical to the eager
-// chain.
+// the workhorse — the GEMM driver over pre-packed weights, covering Affine
+// (x·W + b), LinearGates' dual product (x·Wa + h·Wb + b) and a folded
+// relu/tanh/sigmoid epilogue. The k reduction is ascending and the epilogue
+// applies the same per-element arithmetic as the separate Gemm + AddRowBias
+// + activation ops (bias added once after the full accumulation, activations
+// on the active transcendental path), so fused results are bit-identical to
+// the eager chain.
 
-/// Activation folded into PlanGemm's register epilogue.
+/// Activation folded into PlanGemm's epilogue.
 enum class PlanAct : int { kNone = 0, kRelu = 1, kTanh = 2, kSigmoid = 3 };
 
-/// Packed width of a PORTABLE-path plan weight: n rounded up to the 16-lane
-/// vector width.
-int64_t PlanPackedCols(int64_t n);
-
-/// Packs a row-major [k, n] weight into the portable layout
-/// [k, PlanPackedCols(n)] with zero-filled tail columns.
-void PlanPackWeight(const float* w, int64_t k, int64_t n, float* dst);
-
 /// Total floats of a [k, n] weight packed for `path`. Portable: row-major
-/// k x PlanPackedCols(n). kAvx512: panel-major ceil(n/32) panels of
+/// [k, n rounded up to 16]. kAvx512: panel-major ceil(n/32) panels of
 /// [PaddedK(k)][32] (gemm_avx512.h). kAuto is not a valid pack target.
 int64_t PlanPackedSize(int64_t k, int64_t n, GemmPath path);
 

@@ -1,20 +1,20 @@
-// AVX-512 GEMM micro-kernels: 8x32 register tiles, k-unrolled FMA, row/k
-// cache blocking. See gemm_avx512.h for the packed-B layout and the dispatch
-// contract; kernels.cpp routes here only after CompiledIn()/CpuSupported()
-// and the startup bit-exactness probe pass.
+// AVX-512 GEMM register tile: 8x32 tiles, k-unrolled FMA. See gemm_avx512.h
+// for the TileArgs contract and the packed-B layout; kernels.cpp routes here
+// only after CompiledIn()/CpuSupported() and the startup bit-exactness probe
+// pass.
 //
 // This TU is compiled with -mavx512f (CMake source property) while the rest
 // of the library keeps its baseline flags, so everything below is guarded on
 // __AVX512F__ — without it the entry points become stubs and CompiledIn()
 // reports false.
 //
-// The kernels are written with GCC vector extensions rather than intrinsics:
+// The tile is written with GCC vector extensions rather than intrinsics:
 // a 64-byte vector type lowers to zmm registers, `acc += x * b` contracts to
 // vfmadd under the default contraction rules, and the same source doubles as
 // documentation of the arithmetic order. Per output element the accumulation
 // is ascending-k fused multiply-adds — the identical sequence the portable
-// 4x16 kernel produces when its TU also contracts, which is what the probe
-// in kernels.cpp verifies bitwise before enabling this path.
+// tile produces when its TU also contracts, which is what the probe in
+// kernels.cpp verifies bitwise before enabling this path.
 
 #include "tensor/gemm_avx512.h"
 
@@ -90,258 +90,112 @@ inline void LoadCols(const float* c, V16* lo, V16* hi, int64_t nv) {
   }
 }
 
-/// One MR x 32 register tile: C[0:MR, 0:nv] (+)= A[0:MR, 0:k] · panel.
-/// `panel` is the first B row chunk, either inside a packed panel (ldb =
-/// kNR, zero-padded columns) or directly inside row-major B (ldb = full row
-/// stride; callers guarantee 32 in-bounds floats per row). 2*MR accumulators
-/// live in registers for the whole k loop; each k step is two B loads + MR
-/// broadcast-FMA pairs, unrolled by kKUnroll. No software prefetch: callers
-/// block rows/k so the operands are L1-resident, where prefetch is pure
+/// C[0:MR, 0:32] += A[0:MR, 0:k] · B over ascending p: each k step is two B
+/// loads + MR broadcast-FMA pairs, unrolled by kKUnroll. `b` is the block's
+/// first row (in a packed panel or in place in row-major B; 32 readable
+/// floats per row either way). No software prefetch: the driver hands out
+/// 32-row work items whose operands are L1-resident, where prefetch is pure
 /// issue-slot overhead (measurably slower on the tile harness).
 template <int MR>
-void Tile(int64_t k, const float* a, int64_t lda, const float* panel,
-          int64_t ldb, float* c, int64_t ldc, bool accumulate, int64_t nv) {
+inline __attribute__((always_inline)) void Accumulate(
+    V16* lo, V16* hi, int64_t k, const float* a, const float* b, int64_t ldb) {
+  int64_t p = 0;
+  for (; p + kKUnroll <= k; p += kKUnroll) {
+    for (int64_t u = 0; u < kKUnroll; ++u) {
+      const float* br = b + (p + u) * ldb;
+      const V16 b0 = Load16(br);
+      const V16 b1 = Load16(br + 16);
+      for (int r = 0; r < MR; ++r) {
+        const float x = a[r * k + p + u];
+        lo[r] += x * b0;
+        hi[r] += x * b1;
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const float* br = b + p * ldb;
+    const V16 b0 = Load16(br);
+    const V16 b1 = Load16(br + 16);
+    for (int r = 0; r < MR; ++r) {
+      const float x = a[r * k + p];
+      lo[r] += x * b0;
+      hi[r] += x * b1;
+    }
+  }
+}
+
+/// The register tile: rows [i, i + MR) x columns [j, j + nv) of the slice.
+/// 2*MR accumulators start from C or zero, take both products (k then k2)
+/// and the bias without leaving registers, and go through relu before the
+/// one store — the eager Gemm + accumulate-Gemm + AddRowBias + Relu
+/// per-element order. The epilogue adds and the max are lone operations
+/// (nothing to contract with), so they are bit-safe across translation
+/// units.
+template <int MR>
+void Tile(const TileArgs& t, int64_t i, int64_t j, const float* b,
+          int64_t ldb, int64_t nv) {
   V16 lo[MR], hi[MR];
   const V16 zero = V16{} * 0.0f;
+  float* c = t.c + i * t.n + j;
   for (int r = 0; r < MR; ++r) {
-    if (accumulate) {
-      LoadCols(c + r * ldc, &lo[r], &hi[r], nv);
+    if (t.accumulate) {
+      LoadCols(c + r * t.n, &lo[r], &hi[r], nv);
     } else {
       lo[r] = zero;
       hi[r] = zero;
     }
   }
-  int64_t p = 0;
-  for (; p + kKUnroll <= k; p += kKUnroll) {
-    for (int64_t u = 0; u < kKUnroll; ++u) {
-      const float* br = panel + (p + u) * ldb;
-      const V16 b0 = Load16(br);
-      const V16 b1 = Load16(br + 16);
-      for (int r = 0; r < MR; ++r) {
-        const float x = a[r * lda + p + u];
-        lo[r] += x * b0;
-        hi[r] += x * b1;
-      }
-    }
+  Accumulate<MR>(lo, hi, t.k, t.a + i * t.k, b, ldb);
+  if (t.a2 != nullptr) {
+    Accumulate<MR>(lo, hi, t.k2, t.a2 + i * t.k2, t.b2 + j / kNR * t.b2_panel,
+                   t.ldb);
   }
-  for (; p < k; ++p) {
-    const float* br = panel + p * ldb;
-    const V16 b0 = Load16(br);
-    const V16 b1 = Load16(br + 16);
-    for (int r = 0; r < MR; ++r) {
-      const float x = a[r * lda + p];
-      lo[r] += x * b0;
-      hi[r] += x * b1;
-    }
-  }
-  for (int r = 0; r < MR; ++r) StoreCols(c + r * ldc, lo[r], hi[r], nv);
-}
-
-/// Row-remainder ladder: full 8-row tiles, then 4/2/1 for m % 8. Each row's
-/// element chain is independent of the grouping, so the split cannot perturb
-/// results.
-void TileRows(int64_t i0, int64_t i1, int64_t k, const float* a, int64_t lda,
-              const float* panel, int64_t ldb, float* c, int64_t ldc,
-              bool accumulate, int64_t nv) {
-  int64_t i = i0;
-  for (; i + 8 <= i1; i += 8) {
-    // Prefetch the next row block's A into L1 while this block computes.
-    if (i + 8 < i1) __builtin_prefetch(a + (i + 8) * lda);
-    Tile<8>(k, a + i * lda, lda, panel, ldb, c + i * ldc, ldc, accumulate, nv);
-  }
-  if (i1 - i >= 4) {
-    Tile<4>(k, a + i * lda, lda, panel, ldb, c + i * ldc, ldc, accumulate, nv);
-    i += 4;
-  }
-  if (i1 - i >= 2) {
-    Tile<2>(k, a + i * lda, lda, panel, ldb, c + i * ldc, ldc, accumulate, nv);
-    i += 2;
-  }
-  if (i1 - i >= 1) {
-    Tile<1>(k, a + i * lda, lda, panel, ldb, c + i * ldc, ldc, accumulate, nv);
-  }
-}
-
-}  // namespace
-
-namespace {
-
-/// Cache-blocking extents. A serial call may cover the whole matrix (the
-/// thread pool hands one thread the full row range), so the kernels block
-/// rows and k here: per (row-block, k-block) the A slab, the active B panel
-/// slice and the C slab all stay L1-resident. Blocking is bit-safe — each
-/// C element's multiply-add chain still runs over ascending k (later k
-/// blocks accumulate on the stored partial, and a float store/reload is
-/// exact), so any block size produces identical bits.
-constexpr int64_t kRowBlock = 32;
-constexpr int64_t kKBlock = 64;
-
-}  // namespace
-
-void GemmRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-              int64_t lda, const float* bp, float* c, int64_t ldc,
-              bool accumulate) {
-  if (i0 >= i1 || n <= 0 || k <= 0) return;  // degenerate: caller's contract
-  const int64_t kp = PaddedK(k);
-  for (int64_t r0 = i0; r0 < i1; r0 += kRowBlock) {
-    const int64_t r1 = r0 + kRowBlock < i1 ? r0 + kRowBlock : i1;
-    for (int64_t p0 = 0; p0 < k; p0 += kKBlock) {
-      const int64_t kb = p0 + kKBlock < k ? kKBlock : k - p0;
-      const bool acc = accumulate || p0 > 0;
-      for (int64_t j = 0, pj = 0; j < n; j += kNR, ++pj) {
-        const float* panel = bp + pj * kp * kNR + p0 * kNR;
-        const int64_t nv = n - j < kNR ? n - j : kNR;
-        TileRows(r0, r1, kb, a + p0, lda, panel, kNR, c + j, ldc, acc, nv);
-      }
-    }
-  }
-}
-
-void GemmRowsDirect(int64_t i0, int64_t i1, int64_t n, int64_t k,
-                    const float* a, int64_t lda, const float* b, int64_t ldb,
-                    const float* tailp, float* c, int64_t ldc,
-                    bool accumulate) {
-  if (i0 >= i1 || n <= 0 || k <= 0) return;  // degenerate: caller's contract
-  for (int64_t r0 = i0; r0 < i1; r0 += kRowBlock) {
-    const int64_t r1 = r0 + kRowBlock < i1 ? r0 + kRowBlock : i1;
-    for (int64_t p0 = 0; p0 < k; p0 += kKBlock) {
-      const int64_t kb = p0 + kKBlock < k ? kKBlock : k - p0;
-      const bool acc = accumulate || p0 > 0;
-      int64_t j = 0;
-      for (; j + kNR <= n; j += kNR) {
-        TileRows(r0, r1, kb, a + p0, lda, b + p0 * ldb + j, ldb, c + j, ldc,
-                 acc, kNR);
-      }
-      if (j < n) {
-        // Ragged last panel: read the caller's pre-packed zero-padded copy
-        // so loads stay full-width without running past the end of a B row.
-        TileRows(r0, r1, kb, a + p0, lda, tailp + p0 * kNR, kNR, c + j, ldc,
-                 acc, n - j);
-      }
-    }
-  }
-}
-
-namespace {
-
-/// Fused plan tile: both products chain into the same accumulators (k then
-/// k2, ascending), bias adds once at the end, optional relu — exactly the
-/// eager Gemm + accumulate-Gemm + AddRowBias + Relu per-element order. The
-/// adds in the epilogue are lone operations (nothing to contract with), so
-/// they are bit-safe across translation units.
-template <int MR>
-void PlanTile(int64_t k, const float* a, int64_t lda, const float* panel,
-              int64_t k2, const float* a2, int64_t lda2, const float* panel2,
-              const float* biasp, int act, float* c, int64_t ldc, int64_t nv) {
-  V16 lo[MR], hi[MR];
-  const V16 zero = V16{} * 0.0f;
-  for (int r = 0; r < MR; ++r) {
-    lo[r] = zero;
-    hi[r] = zero;
-  }
-  int64_t p = 0;
-  for (; p + kKUnroll <= k; p += kKUnroll) {
-    for (int64_t u = 0; u < kKUnroll; ++u) {
-      const float* br = panel + (p + u) * kNR;
-      const V16 b0 = Load16(br);
-      const V16 b1 = Load16(br + 16);
-      for (int r = 0; r < MR; ++r) {
-        const float x = a[r * lda + p + u];
-        lo[r] += x * b0;
-        hi[r] += x * b1;
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    const float* br = panel + p * kNR;
-    const V16 b0 = Load16(br);
-    const V16 b1 = Load16(br + 16);
-    for (int r = 0; r < MR; ++r) {
-      const float x = a[r * lda + p];
-      lo[r] += x * b0;
-      hi[r] += x * b1;
-    }
-  }
-  if (a2 != nullptr) {
-    int64_t q = 0;
-    for (; q + kKUnroll <= k2; q += kKUnroll) {
-      for (int64_t u = 0; u < kKUnroll; ++u) {
-        const float* br = panel2 + (q + u) * kNR;
-        const V16 b0 = Load16(br);
-        const V16 b1 = Load16(br + 16);
-        for (int r = 0; r < MR; ++r) {
-          const float x = a2[r * lda2 + q + u];
-          lo[r] += x * b0;
-          hi[r] += x * b1;
-        }
-      }
-    }
-    for (; q < k2; ++q) {
-      const float* br = panel2 + q * kNR;
-      const V16 b0 = Load16(br);
-      const V16 b1 = Load16(br + 16);
-      for (int r = 0; r < MR; ++r) {
-        const float x = a2[r * lda2 + q];
-        lo[r] += x * b0;
-        hi[r] += x * b1;
-      }
-    }
-  }
-  if (biasp != nullptr) {
+  if (t.bias != nullptr) {
     // The bias row is zero-padded to a 32 multiple, so full loads are safe.
-    const V16 b0 = Load16(biasp);
-    const V16 b1 = Load16(biasp + 16);
+    const V16 b0 = Load16(t.bias + j);
+    const V16 b1 = Load16(t.bias + j + 16);
     for (int r = 0; r < MR; ++r) {
       lo[r] += b0;
       hi[r] += b1;
     }
   }
-  if (act == 1) {
+  if (t.relu) {
     for (int r = 0; r < MR; ++r) {
       lo[r] = lo[r] > 0.0f ? lo[r] : zero;
       hi[r] = hi[r] > 0.0f ? hi[r] : zero;
     }
   }
-  for (int r = 0; r < MR; ++r) StoreCols(c + r * ldc, lo[r], hi[r], nv);
+  for (int r = 0; r < MR; ++r) StoreCols(c + r * t.n, lo[r], hi[r], nv);
 }
 
 }  // namespace
 
-void PlanGemmRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-                  int64_t lda, const float* bp, int64_t k2, const float* a2,
-                  int64_t lda2, const float* bp2, const float* biasp, int act,
-                  float* c, int64_t ldc) {
-  if (i0 >= i1 || n <= 0) return;
-  const int64_t kp = PaddedK(k);
-  const int64_t kp2 = PaddedK(k2);
-  for (int64_t j = 0, pj = 0; j < n; j += kNR, ++pj) {
-    const float* panel = bp + pj * kp * kNR;
-    const float* panel2 = a2 != nullptr ? bp2 + pj * kp2 * kNR : nullptr;
-    const float* bias = biasp != nullptr ? biasp + j : nullptr;
-    const int64_t nv = n - j < kNR ? n - j : kNR;
+void TileRows(const TileArgs& t, int64_t i0, int64_t i1) {
+  // Columns read in place end where the ragged tail block begins.
+  const int64_t n_direct = t.b_tail != nullptr ? t.n / kNR * kNR : t.n;
+  for (int64_t j = 0; j < t.n; j += kNR) {
+    const bool tail = j >= n_direct;
+    const float* b = tail ? t.b_tail : t.b + j / kNR * t.b_panel;
+    const int64_t ldb = tail ? kNR : t.ldb;
+    const int64_t nv = t.n - j < kNR ? t.n - j : kNR;
+    // Row-remainder ladder: full 8-row tiles, then 4/2/1 for the rest. Each
+    // row's element chain is independent of the grouping, so the split
+    // cannot perturb results.
     int64_t i = i0;
     for (; i + 8 <= i1; i += 8) {
-      PlanTile<8>(k, a + i * lda, lda, panel, k2,
-                  a2 != nullptr ? a2 + i * lda2 : nullptr, lda2, panel2, bias,
-                  act, c + i * ldc + j, ldc, nv);
+      // Prefetch the next row block's A into L1 while this block computes.
+      if (i + 8 < i1) __builtin_prefetch(t.a + (i + 8) * t.k);
+      Tile<8>(t, i, j, b, ldb, nv);
     }
     if (i1 - i >= 4) {
-      PlanTile<4>(k, a + i * lda, lda, panel, k2,
-                  a2 != nullptr ? a2 + i * lda2 : nullptr, lda2, panel2, bias,
-                  act, c + i * ldc + j, ldc, nv);
+      Tile<4>(t, i, j, b, ldb, nv);
       i += 4;
     }
     if (i1 - i >= 2) {
-      PlanTile<2>(k, a + i * lda, lda, panel, k2,
-                  a2 != nullptr ? a2 + i * lda2 : nullptr, lda2, panel2, bias,
-                  act, c + i * ldc + j, ldc, nv);
+      Tile<2>(t, i, j, b, ldb, nv);
       i += 2;
     }
-    if (i1 - i >= 1) {
-      PlanTile<1>(k, a + i * lda, lda, panel, k2,
-                  a2 != nullptr ? a2 + i * lda2 : nullptr, lda2, panel2, bias,
-                  act, c + i * ldc + j, ldc, nv);
-    }
+    if (i1 - i >= 1) Tile<1>(t, i, j, b, ldb, nv);
   }
 }
 
@@ -349,16 +203,7 @@ void PlanGemmRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
 
 bool CompiledIn() { return false; }
 
-void GemmRows(int64_t, int64_t, int64_t, int64_t, const float*, int64_t,
-              const float*, float*, int64_t, bool) {}
-
-void GemmRowsDirect(int64_t, int64_t, int64_t, int64_t, const float*, int64_t,
-                    const float*, int64_t, const float*, float*, int64_t,
-                    bool) {}
-
-void PlanGemmRows(int64_t, int64_t, int64_t, int64_t, const float*, int64_t,
-                  const float*, int64_t, const float*, int64_t, const float*,
-                  const float*, int, float*, int64_t) {}
+void TileRows(const TileArgs&, int64_t, int64_t) {}
 
 #endif  // __AVX512F__
 

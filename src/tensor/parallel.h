@@ -44,18 +44,18 @@
 //                        kernels (exp/tanh/sigmoid, softmax rows, LSTM gate
 //                        activations) onto scalar libm; unset or any other
 //                        value leaves the vectorized approximations on. The
-//                        SIMD path also requires compiler vector-extension
-//                        support and a startup accuracy sweep — see
-//                        kernels::TranscendentalPath in tensor/kernels.h for
-//                        the per-process override used by tests/benchmarks.
+//                        SIMD path also requires a startup accuracy sweep —
+//                        see kernels::TranscendentalPath in tensor/kernels.h
+//                        for the per-process override used by tests and
+//                        benchmarks.
 //   ADAPTRAJ_GEMM        "0" / "off" / "portable" force Gemm/BatchGemm/
-//                        PlanGemm onto the portable 4x16 register-tile
-//                        kernel; "avx512" / "force" force the AVX-512 8x32
-//                        micro-kernel (still requires compiled-in + CPU
-//                        support); unset or "auto" runs a one-time bitwise
-//                        probe and enables AVX-512 only when it matches the
-//                        portable kernel exactly. See kernels::GemmPath in
-//                        tensor/kernels.h ("GEMM micro-kernel dispatch").
+//                        PlanGemm onto the portable register tile (the
+//                        rollback switch); unset or any other value runs a
+//                        one-time bitwise probe and enables the AVX-512 8x32
+//                        tile only when it matches the portable one exactly.
+//                        Tests force a path with kernels::SetGemmPath. See
+//                        kernels::GemmPath in tensor/kernels.h ("GEMM
+//                        dispatch").
 // All paths are deterministic: for a fixed input, a fixed binary, and a
 // fixed path selection, results are bit-identical for any thread count.
 //

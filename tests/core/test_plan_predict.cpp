@@ -72,6 +72,9 @@ data::Batch ProbeBatch(const data::DomainGeneralizationData& dgd, size_t n) {
 
 void ExpectBitIdentical(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
+  // An empty tensor's data() may be null, and memcmp on null is undefined
+  // even for zero bytes.
+  if (a.size() == 0) return;
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.size()) * sizeof(float)),
             0)

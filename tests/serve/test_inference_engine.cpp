@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,6 +266,11 @@ TEST(InferenceEngineTest, MalformedRequestsFailTypedWithoutHurtingBatchMates) {
   short_focal.focal.pop_back();
   data::TrajectorySequence long_neighbor = scenes[1];
   long_neighbor.neighbors.push_back(long_neighbor.focal);  // obs_len + pred_len points
+  data::TrajectorySequence nan_focal = scenes[1];
+  nan_focal.focal[1].y = std::numeric_limits<float>::quiet_NaN();
+  data::TrajectorySequence inf_neighbor = scenes[1];
+  ASSERT_FALSE(inf_neighbor.neighbors.empty());
+  inf_neighbor.neighbors.back()[0].x = -std::numeric_limits<float>::infinity();
   SubmitOptions negative_timeout;
   negative_timeout.timeout_ms = -1;
 
@@ -274,6 +280,8 @@ TEST(InferenceEngineTest, MalformedRequestsFailTypedWithoutHurtingBatchMates) {
   std::future<Tensor> good = engine.Submit(scenes[0]);
   bad.push_back(engine.Submit(long_neighbor));
   bad.push_back(engine.Submit(scenes[1], negative_timeout));
+  bad.push_back(engine.Submit(nan_focal));
+  bad.push_back(engine.Submit(inf_neighbor));
   engine.Drain();
   for (auto& f : bad) EXPECT_THROW(f.get(), InvalidRequestError);
   Tensor t = good.get();
@@ -294,8 +302,8 @@ TEST(InferenceEngineTest, MalformedRequestsFailTypedWithoutHurtingBatchMates) {
   ExpectAllEqual({reference[2], reference[3]}, got);
 
   const InferenceEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.invalid_requests, 3);
-  EXPECT_EQ(stats.requests, 6);
+  EXPECT_EQ(stats.invalid_requests, 5);
+  EXPECT_EQ(stats.requests, 8);
   EXPECT_EQ(stats.failed_batches, 0);
 }
 

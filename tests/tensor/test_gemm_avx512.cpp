@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -412,6 +413,165 @@ TEST(GemmAvx512Test, ZeroSignSemantics) {
       ASSERT_TRUE(std::signbit(c_acc[i]))
           << "path=" << static_cast<int>(path) << " col " << i
           << ": accumulate flipped -0.0 to +0.0";
+    }
+  }
+}
+
+// --- Exactness at the benchmark's shapes ------------------------------------
+
+// The shapes the end-to-end benchmark spends its GEMM time on, on both GEMM
+// paths and both transcendental paths. Serving: the LSTM gate dual product
+// 64x(16+32)->128 with bias and the 8x32->{2,16,22} steps with each folded
+// activation, where PlanGemm must equal the eager Gemm + accumulate-Gemm +
+// AddRowBias + activation chain bit for bit. Training: the eager products
+// 256x16->128, trans_b 256x128->16 and trans_a 2x256->16, where Gemm must
+// equal BatchGemm with batch 1 bit for bit. Every result is also checked
+// against the naive reference and, when the probe passed, bitwise across
+// paths.
+TEST(GemmAvx512Test, BenchmarkShapesExactOnBothPathsAndTranscendentals) {
+  struct ScopedTranscendentalPath {
+    explicit ScopedTranscendentalPath(kernels::TranscendentalPath p) {
+      kernels::SetTranscendentalPath(p);
+    }
+    ~ScopedTranscendentalPath() {
+      kernels::SetTranscendentalPath(kernels::TranscendentalPath::kAuto);
+    }
+  };
+  const bool bitwise = ProbePassed();
+  std::vector<kernels::GemmPath> paths = {kernels::GemmPath::kPortable};
+  if (Avx512Selectable()) paths.push_back(kernels::GemmPath::kAvx512);
+  Lcg rng(0x5eed0009u);
+
+  struct PlanCase {
+    int64_t m, n, k, k2;
+    kernels::PlanAct act;
+  };
+  std::vector<PlanCase> plan_cases = {
+      {64, 128, 16, 32, kernels::PlanAct::kNone}};
+  for (int64_t n : {int64_t{2}, int64_t{16}, int64_t{22}}) {
+    for (auto act : {kernels::PlanAct::kTanh, kernels::PlanAct::kSigmoid,
+                     kernels::PlanAct::kRelu}) {
+      plan_cases.push_back({8, n, 32, 0, act});
+    }
+  }
+  struct EagerCase {
+    int64_t m, n, k;
+    bool ta, tb;
+  };
+  const EagerCase eager_cases[] = {{256, 128, 16, false, false},
+                                   {256, 16, 128, false, true},
+                                   {2, 16, 256, true, false}};
+
+  for (auto tpath : {kernels::TranscendentalPath::kSimd,
+                     kernels::TranscendentalPath::kScalar}) {
+    ScopedTranscendentalPath scoped(tpath);
+    for (const PlanCase& pc : plan_cases) {
+      const int64_t m = pc.m, n = pc.n, k = pc.k, k2 = pc.k2;
+      std::vector<float> x(m * k), w(k * n), x2(m * k2), w2(k2 * n), bias(n);
+      rng.Fill(&x);
+      rng.Fill(&w);
+      rng.Fill(&x2);
+      rng.Fill(&w2);
+      rng.Fill(&bias);
+      // Naive reference with the same per-element order.
+      std::vector<float> naive(m * n);
+      kernels::GemmNaive(false, false, m, n, k, x.data(), w.data(),
+                         naive.data(), false);
+      kernels::GemmNaive(false, false, m, n, k2, x2.data(), w2.data(),
+                         naive.data(), true);
+      kernels::AddRowBias(naive.data(), bias.data(), m, n);
+      std::vector<float> first_path;
+      for (auto path : paths) {
+        std::vector<float> eager(m * n);
+        {
+          ScopedGemmPath p(path);
+          kernels::Gemm(false, false, m, n, k, x.data(), w.data(), eager.data(),
+                        false);
+          kernels::Gemm(false, false, m, n, k2, x2.data(), w2.data(),
+                        eager.data(), true);
+        }
+        kernels::AddRowBias(eager.data(), bias.data(), m, n);
+        std::vector<float> ref = naive;
+        if (pc.act == kernels::PlanAct::kRelu) {
+          for (auto* v : {&eager, &ref}) {
+            for (auto& e : *v) e = e > 0.0f ? e : 0.0f;
+          }
+        } else if (pc.act == kernels::PlanAct::kTanh) {
+          kernels::TanhForward(eager.data(), eager.data(), m * n);
+          kernels::TanhForward(ref.data(), ref.data(), m * n);
+        } else if (pc.act == kernels::PlanAct::kSigmoid) {
+          kernels::SigmoidForward(eager.data(), eager.data(), m * n);
+          kernels::SigmoidForward(ref.data(), ref.data(), m * n);
+        }
+        std::vector<float> wp(kernels::PlanPackedSize(k, n, path));
+        std::vector<float> wp2(kernels::PlanPackedSize(k2, n, path));
+        std::vector<float> bp(kernels::PlanPackedBiasSize(n, path));
+        kernels::PlanPackWeightFor(w.data(), k, n, path, wp.data());
+        kernels::PlanPackWeightFor(w2.data(), k2, n, path, wp2.data());
+        kernels::PlanPackBiasFor(bias.data(), n, path, bp.data());
+        std::vector<float> c(m * n, -99.0f);
+        kernels::PlanGemm(m, n, k, x.data(), wp.data(), k2,
+                          k2 > 0 ? x2.data() : nullptr, wp2.data(), bp.data(),
+                          pc.act, c.data(), path);
+        const std::string what =
+            "plan m=" + std::to_string(m) + " n=" + std::to_string(n) +
+            " k=" + std::to_string(k) + "+" + std::to_string(k2) +
+            " act=" + std::to_string(static_cast<int>(pc.act)) +
+            " path=" + std::to_string(static_cast<int>(path)) +
+            " transcendental=" + std::to_string(static_cast<int>(tpath));
+        ASSERT_EQ(0, std::memcmp(c.data(), eager.data(), sizeof(float) * m * n))
+            << what << ": PlanGemm differs from the eager chain";
+        for (int64_t i = 0; i < m * n; ++i) {
+          ASSERT_NEAR(c[i], ref[i], 1e-4f) << what << " i=" << i;
+        }
+        if (first_path.empty()) {
+          first_path = c;
+        } else if (bitwise) {
+          ASSERT_EQ(0, std::memcmp(c.data(), first_path.data(),
+                                   sizeof(float) * m * n))
+              << what << ": avx512 vs portable bitwise";
+        }
+      }
+    }
+    for (const EagerCase& ec : eager_cases) {
+      const int64_t m = ec.m, n = ec.n, k = ec.k;
+      std::vector<float> a(m * k), b(k * n), seed(m * n);
+      rng.Fill(&a);
+      rng.Fill(&b);
+      rng.Fill(&seed);
+      for (bool acc : {false, true}) {
+        std::vector<float> ref = seed;
+        kernels::GemmNaive(ec.ta, ec.tb, m, n, k, a.data(), b.data(),
+                           ref.data(), acc);
+        std::vector<float> first_path;
+        for (auto path : paths) {
+          ScopedGemmPath p(path);
+          std::vector<float> single = seed, batched = seed;
+          kernels::Gemm(ec.ta, ec.tb, m, n, k, a.data(), b.data(),
+                        single.data(), acc);
+          kernels::BatchGemm(ec.ta, ec.tb, 1, m, n, k, a.data(), b.data(),
+                             batched.data(), acc);
+          const std::string what =
+              "eager m=" + std::to_string(m) + " n=" + std::to_string(n) +
+              " k=" + std::to_string(k) + " ta=" + std::to_string(ec.ta) +
+              " tb=" + std::to_string(ec.tb) + " acc=" + std::to_string(acc) +
+              " path=" + std::to_string(static_cast<int>(path)) +
+              " transcendental=" + std::to_string(static_cast<int>(tpath));
+          ASSERT_EQ(0, std::memcmp(single.data(), batched.data(),
+                                   sizeof(float) * m * n))
+              << what << ": Gemm differs from BatchGemm(batch=1)";
+          for (int64_t i = 0; i < m * n; ++i) {
+            ASSERT_NEAR(single[i], ref[i], 1e-3f) << what << " i=" << i;
+          }
+          if (first_path.empty()) {
+            first_path = single;
+          } else if (bitwise) {
+            ASSERT_EQ(0, std::memcmp(single.data(), first_path.data(),
+                                     sizeof(float) * m * n))
+                << what << ": avx512 vs portable bitwise";
+          }
+        }
+      }
     }
   }
 }

@@ -33,6 +33,9 @@ TRACKED_PREFIXES = (
     "BM_MatMulFwdBwd_Fast",
     "BM_AttentionFwdBwd_Batched",
     "BM_BatchGemmKernel",
+    # PlanGemm, the plan replay's fused GEMM, at the serving engine's two hot
+    # shapes: the AVX-512 LSTM gate dual product and the portable tanh step.
+    "BM_PlanGemmKernel",
     # The single-product GEMM micro-kernel at model shapes, on the dispatched
     # (AVX-512 where available) path and on the forced-portable path. Both
     # are tracked: the dispatched entry guards the micro-kernel itself, the
