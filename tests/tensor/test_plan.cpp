@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 
 namespace adaptraj {
 namespace {
@@ -310,6 +311,174 @@ TEST_F(PlanTest, DuplicateInputImplStaysEager) {
     (void)session.Finish(body());
   }
   EXPECT_EQ(cache.stats().plans, 0);
+}
+
+// --- Every recordable op, captured and replayed ------------------------------
+
+/// Batch fields of the coverage body. Every tensor is a session input, so
+/// products whose weight is one of them stay unfused (generic GEMM steps).
+struct CoverageInputs {
+  Tensor x, y, c;    // [6, 8]
+  Tensor gates;      // [6, 32]: LSTM pre-activations for hidden 8
+  Tensor w, bias;    // [8, 8], [1, 8]
+  Tensor wg, bg;     // [8, 32], [1, 32]
+  Tensor a, at;      // [2, 3, 4], [2, 4, 3]
+  Tensor b, bt;      // [2, 4, 5], [2, 5, 4]
+  Tensor big;        // [130, 128]: above the 16,384-element elementwise grain
+
+  explicit CoverageInputs(float s)
+      : x(Iota({6, 8}, 0.25f * s)),
+        y(Iota({6, 8}, -0.125f * s)),
+        c(Iota({6, 8}, 0.0625f * s)),
+        gates(Iota({6, 32}, 0.2f * s)),
+        w(Iota({8, 8}, 0.05f * s)),
+        bias(Iota({1, 8}, 0.1f * s)),
+        wg(Iota({8, 32}, -0.03f * s)),
+        bg(Iota({1, 32}, 0.02f * s)),
+        a(Iota({2, 3, 4}, 0.3f * s)),
+        at(Iota({2, 4, 3}, -0.2f * s)),
+        b(Iota({2, 4, 5}, 0.15f * s)),
+        bt(Iota({2, 5, 4}, 0.35f * s)),
+        big(Iota({130, 128}, 0.01f * s)) {}
+
+  std::vector<const Tensor*> List() const {
+    return {&x, &y, &c, &gates, &w, &bias, &wg, &bg, &a, &at, &b, &bt, &big};
+  }
+};
+
+/// Weights and masks the body reads from outside the session: captured as
+/// constants, so their products pack into fused PlanGemm steps.
+struct CoverageConstants {
+  Tensor w = Iota({8, 8}, 0.07f);
+  Tensor w2 = Iota({8, 8}, -0.04f);
+  Tensor bias = Iota({1, 8}, 0.09f);
+  Tensor wx = Iota({8, 32}, 0.03f);
+  Tensor wh = Iota({8, 32}, -0.05f);
+  Tensor bg = Iota({1, 32}, 0.01f);
+  Tensor mask = Tensor::FromVector(
+      {6, 8}, {0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0,
+               0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1,
+               1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0});
+};
+
+/// Uses every op that has a plan step at least once, fused and unfused, and
+/// folds all results into one row so every step stays live.
+Tensor CoverageBody(const CoverageInputs& in, const CoverageConstants& k,
+                    Rng* rng) {
+  std::vector<Tensor> rows;
+  auto keep = [&rows](const Tensor& t) {
+    rows.push_back(Reshape(t, {1, t.size()}));
+  };
+  const Tensor& x = in.x;
+  const Tensor& y = in.y;
+  // Elementwise, scalar and broadcast.
+  keep(Add(x, y));
+  keep(Sub(x, y));
+  keep(Mul(x, y));
+  keep(Div(x, AddScalar(Abs(y), 1.0f)));
+  keep(BroadcastAdd(x, Slice(y, 1, 0, 1)));
+  keep(BroadcastMul(x, Slice(y, 0, 2, 3)));
+  keep(Neg(x));
+  keep(Relu(x));
+  keep(Tanh(x));
+  keep(Sigmoid(x));
+  keep(Exp(MulScalar(x, 0.5f)));
+  keep(LogClamped(x, 1e-3f));
+  keep(Square(x));
+  keep(Sqrt(x));
+  keep(Clamp(x, -0.5f, 0.75f));
+  // Chunked elementwise replay.
+  keep(Tanh(Add(in.big, MulScalar(in.big, 2.0f))));
+  keep(Sigmoid(Mul(in.big, in.big)));
+  // Generic products (weights are session inputs).
+  keep(MatMul(x, Transpose(y)));
+  keep(Affine(x, in.w, in.bias));
+  keep(AddMatMul(x, in.w, y, Transpose(in.w)));
+  keep(LinearGates(x, in.wg, y, in.wg, in.bg));
+  keep(BatchMatMul(in.a, in.b, false, false));
+  keep(BatchMatMul(in.a, in.bt, false, true));
+  keep(BatchMatMul(in.at, in.b, true, false));
+  keep(BatchMatMul(in.at, in.bt, true, true));
+  // Packed products with folded epilogues (weights are constants).
+  keep(Relu(MatMul(x, k.w)));
+  keep(Tanh(Affine(x, k.w, k.bias)));
+  keep(Sigmoid(AddMatMul(x, k.w, y, k.w2)));
+  Tensor gates = LinearGates(x, k.wx, y, k.wh, k.bg);
+  // LSTM: a C/H pair over one gate buffer fuses; the lone C and H do not.
+  Tensor cn = LstmCellC(gates, in.c);
+  keep(LstmCellH(gates, cn));
+  keep(cn);
+  keep(LstmCellC(in.gates, in.c));
+  keep(LstmCellH(in.gates, in.c));
+  // Softmax and masking, unfused and fused.
+  keep(Softmax(Add(x, y)));
+  keep(Add(MaskedFill(x, k.mask, -3.0f), y));
+  keep(Softmax(MaskedFill(MulScalar(x, 0.25f), k.mask, -1e9f)));
+  // Reductions.
+  keep(SumAxis(x, 0));
+  keep(MeanAxis(x, 1, /*keepdim=*/true));
+  keep(MaxAxis(x, 1));
+  keep(MaxAxis(in.a, 0, /*keepdim=*/true));
+  // Structure and copies.
+  keep(Concat({x, y, in.c}, 1));
+  keep(Slice(in.a, 2, 1, 3));
+  keep(Stack({x, y}));
+  keep(Transpose(x));
+  keep(GradReverse(x, 0.5f));
+  keep(x.Detach());
+  // Rng draws.
+  keep(Tensor::Randn({3, 5}, rng, 0.5f));
+  keep(Tensor::Rand({4, 2}, rng, -1.0f, 2.0f));
+  return Concat(rows, 1);
+}
+
+TEST_F(PlanTest, EveryRecordableOpReplaysBitIdentically) {
+  const int threads_before = parallel::NumThreads();
+  const CoverageConstants k;
+  const CoverageInputs in1(1.0f), in2(-1.5f);
+  std::vector<Tensor> replayed_by_threads;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    parallel::Configure(threads);
+    plan::SetMode(plan::Mode::kOn);
+    plan::PlanCache cache;
+    Rng planned_rng(7);
+    Tensor captured = RunPlanned(&cache, "k", in1.List(), &planned_rng, [&] {
+      return CoverageBody(in1, k, &planned_rng);
+    });
+    Tensor replayed = RunPlanned(&cache, "k", in2.List(), &planned_rng, [&] {
+      return CoverageBody(in2, k, &planned_rng);
+    });
+    plan::CacheStats s = cache.stats();
+    EXPECT_EQ(s.captures, 1);
+    EXPECT_EQ(s.hits, 1);
+    EXPECT_EQ(s.aborted, 0);
+    EXPECT_GT(s.fused_steps, 0);
+
+    plan::SetMode(plan::Mode::kOff);
+    Rng eager_rng(7);
+    ExpectBitIdentical(captured, CoverageBody(in1, k, &eager_rng));
+    ExpectBitIdentical(replayed, CoverageBody(in2, k, &eager_rng));
+    replayed_by_threads.push_back(replayed);
+  }
+  ExpectBitIdentical(replayed_by_threads[0], replayed_by_threads[1]);
+  parallel::Configure(threads_before);
+}
+
+TEST_F(PlanTest, OpWithoutAStepAbortsToEager) {
+  plan::PlanCache cache;
+  Tensor x = Iota({3, 4}, 0.5f);
+  // Sum has no plan step: the op-output balance catches it.
+  auto body = [&] { return BroadcastAdd(x, Reshape(Sum(x), {1, 1})); };
+  Tensor first = RunPlanned(&cache, "k", {&x}, nullptr, body);
+  Tensor second = RunPlanned(&cache, "k", {&x}, nullptr, body);
+  plan::CacheStats s = cache.stats();
+  EXPECT_EQ(s.aborted, 1);
+  EXPECT_EQ(s.plans, 0);
+  EXPECT_EQ(s.hits, 0);
+  plan::SetMode(plan::Mode::kOff);
+  ExpectBitIdentical(first, body());
+  ExpectBitIdentical(second, body());
 }
 
 TEST_F(PlanTest, ModeOffIsInert) {
