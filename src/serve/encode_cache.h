@@ -104,8 +104,9 @@ enum class EncodeCacheMode {
   kOff,       // never cache
 };
 
-/// Resolves the ADAPTRAJ_ENCODE_CACHE kill-switch (unset/"1"/"on" = true,
-/// "0"/"off"/"false" = false). Read once per process, like ADAPTRAJ_PLAN.
+/// Resolves the ADAPTRAJ_ENCODE_CACHE kill-switch: exactly "0", "off" or
+/// "false" = false (case-sensitive), unset or anything else = true. Read
+/// once per process.
 bool EncodeCacheEnabledByEnv();
 
 /// Configuration of one cache instance.

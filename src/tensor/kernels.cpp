@@ -176,16 +176,6 @@ bool SimdAccuracyOk() {
   return max_exp_rel <= 1e-6f && max_tanh_abs <= 1e-6f && max_sig_abs <= 1e-6f;
 }
 
-bool ResolveSimdDefault() {
-  if (const char* env = std::getenv("ADAPTRAJ_SIMD")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "scalar") == 0) {
-      return false;
-    }
-  }
-  return SimdAccuracyOk();
-}
-
 }  // namespace
 
 void SetTranscendentalPath(TranscendentalPath path) {
@@ -197,7 +187,7 @@ bool SimdTranscendentalsActive() {
       g_transcendental_override.load(std::memory_order_relaxed));
   if (mode == TranscendentalPath::kSimd) return true;
   if (mode == TranscendentalPath::kScalar) return false;
-  static const bool simd_default = ResolveSimdDefault();
+  static const bool simd_default = SimdAccuracyOk();
   return simd_default;
 }
 

@@ -132,20 +132,18 @@ bool Avx512GemmCompiledIn();
 // on a zero-padded tile, so results are independent of how a range is split
 // into chunks (and therefore of the thread count).
 //
-// The active path is resolved once per process: the ADAPTRAJ_SIMD
-// environment variable must not disable it ("0" / "off" / "scalar" force
-// libm; unset or anything else leaves SIMD on), and a startup accuracy sweep
-// against libm must pass. Tests and benchmarks can pin the path explicitly
-// with SetTranscendentalPath.
+// The active path is resolved once per process: SIMD is on when a startup
+// accuracy sweep against libm passes, scalar libm otherwise. Tests and
+// benchmarks can pin the path explicitly with SetTranscendentalPath.
 
 enum class TranscendentalPath {
-  kAuto = 0,    // env + accuracy-gated resolution (the default)
+  kAuto = 0,    // accuracy-gated resolution (the default)
   kSimd,        // force the vector approximations
   kScalar,      // force scalar libm
 };
 
 /// Overrides the path used by the kernels below. kAuto restores the
-/// environment/accuracy-gated default. Not thread-safe against in-flight
+/// accuracy-gated default. Not thread-safe against in-flight
 /// kernels; call between steps (tests and benchmarks only).
 void SetTranscendentalPath(TranscendentalPath path);
 

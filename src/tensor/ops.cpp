@@ -1,3 +1,6 @@
+// The one forward per op (plan::RunForward), shared by the eager ops and
+// plan replay, then the eager ops with their backward passes.
+
 #include "tensor/ops.h"
 
 #include <algorithm>
@@ -10,18 +13,281 @@
 #include "tensor/plan.h"
 
 namespace adaptraj {
+
+namespace {
+
+/// Elementwise loops below this many elements run inline; larger ones are
+/// chunked across the thread pool (deterministically — see parallel.h).
+constexpr int64_t kElementwiseGrain = 1 << 14;
+
+/// Walks the flat offsets into a broadcast operand (same rank; extents equal
+/// or 1) in row-major order of the output. An odometer over the output shape
+/// advances the operand offset by precomputed strides (0 on broadcast dims),
+/// so each step costs a few adds instead of a division chain per dimension —
+/// this sits on every Linear bias add and every mask multiply.
+class BroadcastCursor {
+ public:
+  BroadcastCursor(int rank, const int64_t* out_shape, const int64_t* b_shape)
+      : rank_(rank) {
+    int64_t s = 1;
+    for (int d = rank_ - 1; d >= 0; --d) {
+      extent_[d] = out_shape[d];
+      stride_[d] = b_shape[d] == 1 ? 0 : s;
+      s *= b_shape[d];
+    }
+  }
+
+  /// Offset of the current output element into the broadcast operand.
+  int64_t offset() const { return offset_; }
+
+  /// Steps to the next output element (row-major order).
+  void Advance() {
+    for (int d = rank_ - 1; d >= 0; --d) {
+      offset_ += stride_[d];
+      if (++index_[d] < extent_[d]) return;
+      index_[d] = 0;
+      offset_ -= stride_[d] * extent_[d];
+    }
+  }
+
+ private:
+  int rank_;
+  int64_t extent_[plan::kMaxRank] = {};
+  int64_t index_[plan::kMaxRank] = {};
+  int64_t stride_[plan::kMaxRank] = {};
+  int64_t offset_ = 0;
+};
+
+/// First position of the maximum along one lane of `extent` values spaced
+/// `stride` apart: MaxAxis's forward value and its backward route.
+int64_t ArgMax(const float* lane, int64_t extent, int64_t stride) {
+  int64_t best = 0;
+  for (int64_t e = 1; e < extent; ++e) {
+    if (lane[e * stride] > lane[best * stride]) best = e;
+  }
+  return best;
+}
+
+template <typename F>
+void Map1(const float* x, float* y, int64_t n, F f) {
+  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) y[i] = f(x[i]);
+  });
+}
+
+/// Transcendentals: one bulk kernel call per chunk.
+template <void (*Bulk)(const float*, float*, int64_t)>
+void MapBulk(const float* x, float* y, int64_t n) {
+  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    Bulk(x + lo, y + lo, hi - lo);
+  });
+}
+
+template <typename F>
+void Map2(const float* a, const float* b, float* y, int64_t n, F f) {
+  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) y[i] = f(a[i], b[i]);
+  });
+}
+
+template <typename F>
+void MapBroadcast(const plan::OpDesc& d, const float* a, const float* b,
+                  float* y, F f) {
+  BroadcastCursor cur(d.rank, d.shape, d.b_shape);
+  for (int64_t i = 0; i < d.n; ++i, cur.Advance()) y[i] = f(a[i], b[cur.offset()]);
+}
+
+}  // namespace
+
+namespace plan {
+
+// Fields read per kind:
+//   elementwise, kMaskedFill, kCopy, kRandn, kRand: n elements, scalar
+//     operands f0 / f1;
+//   kBroadcast: n, rank, shape, b_shape;
+//   products: m x k times k x n (k2 for the second product); kBatchMatMul
+//     adds outer = batch and the transpose flags; kPlanGemm adds the packed
+//     panels, gpath and code = the folded activation;
+//   kLstm*: m = batch, n = hidden; kTranspose: an m x n input;
+//   kSoftmax, kScaledSoftmax, kLayerNorm: m rows of n (f0 / f1: scale and
+//     fill, or eps);
+//   kReduce, kMaxAxis: outer x extent x inner (kReduce scales by f0);
+//   kConcat: outer x extent x inner of the output;
+//   kSlice: outer x extent x inner of the input, m rows from start.
+void RunForward(const OpDesc& d, Operands in, float* out, float* out2,
+                Rng* rng) {
+  switch (d.kind) {
+    case Op::kUnary: {
+      const float* x = in[0];
+      const float p0 = d.f0, p1 = d.f1;
+      switch (static_cast<Un>(d.code)) {
+        case Un::kAddScalar:
+          return Map1(x, out, d.n, [p0](float v) { return v + p0; });
+        case Un::kMulScalar:
+          return Map1(x, out, d.n, [p0](float v) { return v * p0; });
+        case Un::kRelu:
+          return Map1(x, out, d.n, [](float v) { return v > 0.0f ? v : 0.0f; });
+        case Un::kTanh: return MapBulk<kernels::TanhForward>(x, out, d.n);
+        case Un::kSigmoid: return MapBulk<kernels::SigmoidForward>(x, out, d.n);
+        case Un::kExp: return MapBulk<kernels::ExpForward>(x, out, d.n);
+        case Un::kSquare:
+          return Map1(x, out, d.n, [](float v) { return v * v; });
+        case Un::kSqrt:
+          return Map1(x, out, d.n,
+                      [](float v) { return std::sqrt(std::max(v, 0.0f)); });
+        case Un::kAbs:
+          return Map1(x, out, d.n, [](float v) { return std::fabs(v); });
+        case Un::kClamp:
+          return Map1(x, out, d.n, [p0, p1](float v) {
+            return std::min(std::max(v, p0), p1);
+          });
+        case Un::kLogClamped:
+          return Map1(x, out, d.n,
+                      [p0](float v) { return std::log(std::max(v, p0)); });
+      }
+      return;
+    }
+    case Op::kBinary: {
+      const float* a = in[0];
+      const float* b = in[1];
+      switch (static_cast<Bin>(d.code)) {
+        case Bin::kAdd:
+          return Map2(a, b, out, d.n, [](float x, float y) { return x + y; });
+        case Bin::kSub:
+          return Map2(a, b, out, d.n, [](float x, float y) { return x - y; });
+        case Bin::kMul:
+          return Map2(a, b, out, d.n, [](float x, float y) { return x * y; });
+        case Bin::kDiv:
+          return Map2(a, b, out, d.n, [](float x, float y) { return x / y; });
+      }
+      return;
+    }
+    case Op::kBroadcast:
+      if (static_cast<Bin>(d.code) == Bin::kAdd) {
+        return MapBroadcast(d, in[0], in[1], out,
+                            [](float x, float y) { return x + y; });
+      }
+      return MapBroadcast(d, in[0], in[1], out,
+                          [](float x, float y) { return x * y; });
+    case Op::kMatMul:
+      return kernels::Gemm(false, false, d.m, d.n, d.k, in[0], in[1], out,
+                           /*accumulate=*/false);
+    case Op::kBatchMatMul:
+      return kernels::BatchGemm(d.flag_a, d.flag_b, d.outer, d.m, d.n, d.k,
+                                in[0], in[1], out, /*accumulate=*/false);
+    case Op::kAffine:
+      kernels::Gemm(false, false, d.m, d.n, d.k, in[0], in[1], out, false);
+      return kernels::AddRowBias(out, in[2], d.m, d.n);
+    case Op::kDualMatMul:  // AddMatMul; LinearGates with a fifth (bias) input
+      kernels::Gemm(false, false, d.m, d.n, d.k, in[0], in[1], out, false);
+      kernels::Gemm(false, false, d.m, d.n, d.k2, in[2], in[3], out, true);
+      if (in.count > 4) kernels::AddRowBias(out, in[4], d.m, d.n);
+      return;
+    case Op::kLstmC:
+      return kernels::LstmCellForwardC(in[0], in[1], d.m, d.n, out);
+    case Op::kLstmH:
+      return kernels::LstmCellForwardH(in[0], in[1], d.m, d.n, out);
+    case Op::kTranspose: {
+      const float* a = in[0];
+      for (int64_t i = 0; i < d.m; ++i) {
+        for (int64_t j = 0; j < d.n; ++j) out[j * d.m + i] = a[i * d.n + j];
+      }
+      return;
+    }
+    case Op::kSoftmax: {
+      const float* x = in[0];
+      const int64_t cols = d.n;
+      parallel::ParallelFor(0, d.m, /*grain=*/64, [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          kernels::SoftmaxRow(&x[r * cols], &out[r * cols], cols);
+        }
+      });
+      return;
+    }
+    case Op::kReduce: {
+      const float* a = in[0];
+      for (int64_t ou = 0; ou < d.outer; ++ou) {
+        for (int64_t iin = 0; iin < d.inner; ++iin) {
+          double acc = 0.0;
+          for (int64_t e = 0; e < d.extent; ++e) {
+            acc += a[(ou * d.extent + e) * d.inner + iin];
+          }
+          out[ou * d.inner + iin] = static_cast<float>(acc) * d.f0;
+        }
+      }
+      return;
+    }
+    case Op::kMaxAxis:
+      for (int64_t ou = 0; ou < d.outer; ++ou) {
+        for (int64_t iin = 0; iin < d.inner; ++iin) {
+          const float* lane = in[0] + ou * d.extent * d.inner + iin;
+          out[ou * d.inner + iin] = lane[ArgMax(lane, d.extent, d.inner) * d.inner];
+        }
+      }
+      return;
+    case Op::kMaskedFill: {
+      const float* a = in[0];
+      const float* m = in[1];
+      for (int64_t i = 0; i < d.n; ++i) out[i] = (m[i] != 0.0f) ? d.f0 : a[i];
+      return;
+    }
+    case Op::kCopy:
+      std::copy(in[0], in[0] + d.n, out);
+      return;
+    case Op::kConcat: {
+      int64_t offset = 0;
+      for (size_t p = 0; p < in.count; ++p) {
+        const float* src = in[p];
+        const int64_t ext = d.extents != nullptr ? d.extents[p] : 1;
+        for (int64_t ou = 0; ou < d.outer; ++ou) {
+          std::copy(&src[ou * ext * d.inner], &src[(ou + 1) * ext * d.inner],
+                    &out[(ou * d.extent + offset) * d.inner]);
+        }
+        offset += ext;
+      }
+      return;
+    }
+    case Op::kSlice:
+      for (int64_t ou = 0; ou < d.outer; ++ou) {
+        const float* src = &in[0][(ou * d.extent + d.start) * d.inner];
+        std::copy(src, src + d.m * d.inner, &out[ou * d.m * d.inner]);
+      }
+      return;
+    case Op::kRandn:
+      for (int64_t i = 0; i < d.n; ++i) out[i] = rng->Normal(0.0f, d.f0);
+      return;
+    case Op::kRand:
+      for (int64_t i = 0; i < d.n; ++i) out[i] = rng->Uniform(d.f0, d.f1);
+      return;
+    case Op::kPlanGemm:
+      return kernels::PlanGemm(d.m, d.n, d.k, in[0], d.packed[0], d.k2,
+                               in.count > 1 ? in[1] : nullptr, d.packed[1],
+                               d.packed[2], static_cast<kernels::PlanAct>(d.code),
+                               out, d.gpath);
+    case Op::kLstmCH:
+      return kernels::LstmCellForwardCH(in[0], in[1], d.m, d.n, out, out2);
+    case Op::kScaledSoftmax:
+      return kernels::ScaledMaskedSoftmaxRows(
+          in[0], in.count > 1 ? in[1] : nullptr, d.f0, d.f1, d.m, d.n, out);
+    case Op::kLayerNorm:
+      return kernels::LayerNormRows(in[0], d.m, d.n, d.f0, out);
+  }
+}
+
+}  // namespace plan
+
 namespace ops {
 
 namespace {
 
 using internal::GradNode;
 using internal::TensorImpl;
+using plan::Bin;
+using plan::Op;
+using plan::OpDesc;
+using plan::Un;
 
 using Impl = std::shared_ptr<TensorImpl>;
-
-/// Elementwise loops below this many elements run inline; larger ones are
-/// chunked across the thread pool (deterministically — see parallel.h).
-constexpr int64_t kElementwiseGrain = 1 << 14;
 
 bool TrackAny(std::initializer_list<const Tensor*> tensors) {
   for (const Tensor* t : tensors) {
@@ -58,7 +324,7 @@ Tensor MakeOutputCore(const Shape& shape, MakeInputs make_inputs, const char* na
     }
   }
   // Balance counter for plan capture: every op output must be matched by a
-  // Record* hook, or the capture aborts to eager (see plan.h).
+  // plan::Forward call, or the capture aborts to eager (see plan.h).
   plan::NoteOpOutput(track);
   return Tensor::FromImpl(std::move(impl));
 }
@@ -79,55 +345,24 @@ Tensor MakeOutput(const Shape& shape, std::vector<Impl> inputs, const char* name
       std::forward<Backward>(backward), track);
 }
 
+OpDesc Desc(Op kind, int code = 0) {
+  OpDesc d;
+  d.kind = kind;
+  d.code = code;
+  return d;
+}
+
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   ADAPTRAJ_CHECK_MSG(a.shape() == b.shape(), op << ": shape mismatch "
                                                 << ShapeToString(a.shape()) << " vs "
                                                 << ShapeToString(b.shape()));
 }
 
-/// Walks the flat offsets into a broadcast operand (same rank; extents equal
-/// or 1) in row-major order of the output. An odometer over the output shape
-/// advances the operand offset by precomputed strides (0 on broadcast dims),
-/// so each step costs a few adds instead of a division chain per dimension —
-/// this sits on every Linear bias add and every mask multiply.
-class BroadcastCursor {
- public:
-  BroadcastCursor(const Shape& out_shape, const Shape& b_shape)
-      : rank_(static_cast<int>(out_shape.size())),
-        extent_(out_shape),
-        index_(out_shape.size(), 0),
-        stride_(out_shape.size(), 0) {
-    int64_t s = 1;
-    for (int d = rank_ - 1; d >= 0; --d) {
-      stride_[d] = b_shape[d] == 1 ? 0 : s;
-      s *= b_shape[d];
-    }
-  }
-
-  /// Offset of the current output element into the broadcast operand.
-  int64_t offset() const { return offset_; }
-
-  /// Steps to the next output element (row-major order).
-  void Advance() {
-    for (int d = rank_ - 1; d >= 0; --d) {
-      offset_ += stride_[d];
-      if (++index_[d] < extent_[d]) return;
-      index_[d] = 0;
-      offset_ -= stride_[d] * extent_[d];
-    }
-  }
-
- private:
-  int rank_;
-  Shape extent_;
-  std::vector<int64_t> index_;
-  std::vector<int64_t> stride_;
-  int64_t offset_ = 0;
-};
-
 void CheckBroadcastable(const Tensor& a, const Tensor& b, const char* op) {
   ADAPTRAJ_CHECK_MSG(a.dim() == b.dim(), op << ": rank mismatch " << ShapeToString(a.shape())
                                             << " vs " << ShapeToString(b.shape()));
+  ADAPTRAJ_CHECK_MSG(a.dim() <= plan::kMaxRank,
+                     op << ": rank " << a.dim() << " above " << plan::kMaxRank);
   for (int d = 0; d < a.dim(); ++d) {
     ADAPTRAJ_CHECK_MSG(b.shape()[d] == a.shape()[d] || b.shape()[d] == 1,
                        op << ": dim " << d << " of " << ShapeToString(b.shape())
@@ -144,8 +379,8 @@ int NormalizeAxis(int axis, int rank) {
 
 /// Generic elementwise binary op over equal shapes. Backward accumulates
 /// straight into the inputs' gradient buffers — no scratch allocation.
-template <typename Fwd, typename Bwd>
-Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* name, Fwd fwd,
+template <typename Bwd>
+Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* name, Bin code,
                          Bwd bwd) {
   CheckSameShape(a, b, name);
   bool track = TrackAny({&a, &b});
@@ -175,23 +410,17 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* name, Fwd
         });
       },
       track);
-  const int64_t n = out.size();
-  float* po = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = fwd(pa[i], pb[i]);
-  });
+  OpDesc d = Desc(Op::kBinary, static_cast<int>(code));
+  d.n = out.size();
+  plan::Forward(d, {&a, &b}, out);
   return out;
 }
 
-/// Generic elementwise unary op; bwd receives (x, y, dy) and returns dx.
-/// fwd_bulk computes a whole sub-range (pointer, pointer, count) — scalar ops
-/// wrap a per-element lambda via BulkFromScalar; transcendentals pass the
-/// SIMD kernels directly.
-template <typename FwdBulk, typename Bwd>
-Tensor ElementwiseUnaryBulk(const Tensor& a, const char* name, FwdBulk fwd_bulk,
-                            Bwd bwd) {
+/// Generic elementwise unary op with scalar operands p0, p1; bwd receives
+/// (x, y, dy) and returns dx.
+template <typename Bwd>
+Tensor ElementwiseUnary(const Tensor& a, const char* name, Un code, Bwd bwd,
+                        float p0 = 0.0f, float p1 = 0.0f) {
   bool track = a.needs_grad();
   Impl ia = a.impl();
   Tensor out = MakeOutput(
@@ -208,86 +437,68 @@ Tensor ElementwiseUnaryBulk(const Tensor& a, const char* name, FwdBulk fwd_bulk,
         });
       },
       track);
-  const int64_t n = out.size();
-  float* po = out.data();
-  const float* pa = a.data();
-  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    fwd_bulk(pa + lo, po + lo, hi - lo);
-  });
+  OpDesc d = Desc(Op::kUnary, static_cast<int>(code));
+  d.n = out.size();
+  d.f0 = p0;
+  d.f1 = p1;
+  plan::Forward(d, {&a}, out);
   return out;
-}
-
-template <typename Fwd>
-auto BulkFromScalar(Fwd fwd) {
-  return [fwd](const float* x, float* y, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) y[i] = fwd(x[i]);
-  };
-}
-
-template <typename Fwd, typename Bwd>
-Tensor ElementwiseUnary(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
-  return ElementwiseUnaryBulk(a, name, BulkFromScalar(fwd), bwd);
 }
 
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = ElementwiseBinary(
-      a, b, "Add", [](float x, float y) { return x + y; },
+  return ElementwiseBinary(
+      a, b, "Add", Bin::kAdd,
       [](float, float, float dy, float* da, float* db) {
         *da = dy;
         *db = dy;
       });
-  plan::RecordBinary(plan::Bin::kAdd, a, b, out);
-  return out;
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out = ElementwiseBinary(
-      a, b, "Sub", [](float x, float y) { return x - y; },
+  return ElementwiseBinary(
+      a, b, "Sub", Bin::kSub,
       [](float, float, float dy, float* da, float* db) {
         *da = dy;
         *db = -dy;
       });
-  plan::RecordBinary(plan::Bin::kSub, a, b, out);
-  return out;
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  Tensor out = ElementwiseBinary(
-      a, b, "Mul", [](float x, float y) { return x * y; },
+  return ElementwiseBinary(
+      a, b, "Mul", Bin::kMul,
       [](float x, float y, float dy, float* da, float* db) {
         *da = dy * y;
         *db = dy * x;
       });
-  plan::RecordBinary(plan::Bin::kMul, a, b, out);
-  return out;
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  Tensor out = ElementwiseBinary(
-      a, b, "Div", [](float x, float y) { return x / y; },
+  return ElementwiseBinary(
+      a, b, "Div", Bin::kDiv,
       [](float x, float y, float dy, float* da, float* db) {
         *da = dy / y;
         *db = -dy * x / (y * y);
       });
-  plan::RecordBinary(plan::Bin::kDiv, a, b, out);
-  return out;
 }
 
 namespace {
 
-template <typename Combine, typename BwdA, typename BwdB>
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b, const char* name, Combine fwd,
+template <typename BwdA, typename BwdB>
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b, const char* name, Bin code,
                        BwdA bwd_a, BwdB bwd_b) {
   CheckBroadcastable(a, b, name);
   bool track = TrackAny({&a, &b});
   Impl ia = a.impl();
   Impl ib = b.impl();
-  Shape b_shape = b.shape();
+  OpDesc d = Desc(Op::kBroadcast, static_cast<int>(code));
+  d.rank = a.dim();
+  std::copy(a.shape().begin(), a.shape().end(), d.shape);
+  std::copy(b.shape().begin(), b.shape().end(), d.b_shape);
   Tensor out = MakeOutput(
       a.shape(), {ia, ib}, name,
-      [ia, ib, b_shape, bwd_a, bwd_b](TensorImpl& o) {
+      [ia, ib, d, bwd_a, bwd_b](TensorImpl& o) {
         const int64_t n = o.size();
         const bool need_a = ia->requires_grad || ia->grad_fn != nullptr;
         const bool need_b = ib->requires_grad || ib->grad_fn != nullptr;
@@ -296,7 +507,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, const char* name, Combi
         float* ga = need_a ? ia->grad.data() : nullptr;
         float* gb = need_b ? ib->grad.data() : nullptr;
         // Serial: gb is a scatter-accumulation across broadcast positions.
-        BroadcastCursor cur(o.shape, b_shape);
+        BroadcastCursor cur(d.rank, d.shape, d.b_shape);
         for (int64_t i = 0; i < n; ++i, cur.Advance()) {
           const int64_t j = cur.offset();
           if (ga != nullptr) ga[i] += bwd_a(ia->data[i], ib->data[j], o.grad[i]);
@@ -304,50 +515,33 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, const char* name, Combi
         }
       },
       track);
-  const int64_t n = out.size();
-  float* po = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  BroadcastCursor cur(out.shape(), b_shape);
-  for (int64_t i = 0; i < n; ++i, cur.Advance()) {
-    po[i] = fwd(pa[i], pb[cur.offset()]);
-  }
+  d.n = out.size();
+  plan::Forward(d, {&a, &b}, out);
   return out;
 }
 
 }  // namespace
 
 Tensor BroadcastAdd(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(
-      a, b, "BroadcastAdd", [](float x, float y) { return x + y; },
-      [](float, float, float dy) { return dy; }, [](float, float, float dy) { return dy; });
-  plan::RecordBroadcast(plan::Bin::kAdd, a, b, out);
-  return out;
+  return BroadcastBinary(
+      a, b, "BroadcastAdd", Bin::kAdd, [](float, float, float dy) { return dy; },
+      [](float, float, float dy) { return dy; });
 }
 
 Tensor BroadcastMul(const Tensor& a, const Tensor& b) {
-  Tensor out = BroadcastBinary(
-      a, b, "BroadcastMul", [](float x, float y) { return x * y; },
-      [](float, float y, float dy) { return dy * y; },
+  return BroadcastBinary(
+      a, b, "BroadcastMul", Bin::kMul, [](float, float y, float dy) { return dy * y; },
       [](float x, float, float dy) { return dy * x; });
-  plan::RecordBroadcast(plan::Bin::kMul, a, b, out);
-  return out;
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  Tensor out = ElementwiseUnary(
-      a, "AddScalar", [s](float x) { return x + s; },
-      [](float, float, float dy) { return dy; });
-  plan::RecordUnary(plan::Un::kAddScalar, a, out, s);
-  return out;
+  return ElementwiseUnary(
+      a, "AddScalar", Un::kAddScalar, [](float, float, float dy) { return dy; }, s);
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  Tensor out = ElementwiseUnary(
-      a, "MulScalar", [s](float x) { return x * s; },
-      [s](float, float, float dy) { return dy * s; });
-  plan::RecordUnary(plan::Un::kMulScalar, a, out, s);
-  return out;
+  return ElementwiseUnary(
+      a, "MulScalar", Un::kMulScalar, [s](float, float, float dy) { return dy * s; }, s);
 }
 
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
@@ -383,9 +577,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
       },
       track);
-  kernels::Gemm(/*trans_a=*/false, /*trans_b=*/false, m, n, k, a.data(), b.data(),
-                out.data(), /*accumulate=*/false);
-  plan::RecordMatMul(a, b, out);
+  OpDesc d = Desc(Op::kMatMul);
+  d.m = m;
+  d.n = n;
+  d.k = k;
+  plan::Forward(d, {&a, &b}, out);
   return out;
 }
 
@@ -453,9 +649,14 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b)
         }
       },
       track);
-  kernels::BatchGemm(trans_a, trans_b, batch, m, n, k, a.data(), b.data(), out.data(),
-                     /*accumulate=*/false);
-  plan::RecordBatchMatMul(a, b, trans_a, trans_b, out);
+  OpDesc d = Desc(Op::kBatchMatMul);
+  d.outer = batch;
+  d.m = m;
+  d.n = n;
+  d.k = k;
+  d.flag_a = trans_a;
+  d.flag_b = trans_b;
+  plan::Forward(d, {&a, &b}, out);
   return out;
 }
 
@@ -525,10 +726,16 @@ Tensor FusedAddMatMul(const Tensor& a, const Tensor& wa, const Tensor& b,
         }
       },
       track);
-  kernels::Gemm(false, false, rows, cols, ka, a.data(), wa.data(), out.data(), false);
-  kernels::Gemm(false, false, rows, cols, kb, b.data(), wb.data(), out.data(), true);
-  if (bias != nullptr) kernels::AddRowBias(out.data(), bias->data(), rows, cols);
-  plan::RecordDualMatMul(a, wa, b, wb, bias, out);
+  OpDesc d = Desc(Op::kDualMatMul);
+  d.m = rows;
+  d.n = cols;
+  d.k = ka;
+  d.k2 = kb;
+  if (bias != nullptr) {
+    plan::Forward(d, {&a, &wa, &b, &wb, bias}, out);
+  } else {
+    plan::Forward(d, {&a, &wa, &b, &wb}, out);
+  }
   return out;
 }
 
@@ -569,9 +776,11 @@ Tensor Affine(const Tensor& a, const Tensor& w, const Tensor& bias) {
         }
       },
       track);
-  kernels::Gemm(false, false, rows, cols, k, a.data(), w.data(), out.data(), false);
-  kernels::AddRowBias(out.data(), bias.data(), rows, cols);
-  plan::RecordAffine(a, w, bias, out);
+  OpDesc d = Desc(Op::kAffine);
+  d.m = rows;
+  d.n = cols;
+  d.k = k;
+  plan::Forward(d, {&a, &w, &bias}, out);
   return out;
 }
 
@@ -609,8 +818,10 @@ Tensor LstmCellC(const Tensor& gates, const Tensor& c_prev) {
                                    need_c ? ic->grad.data() : nullptr);
       },
       track);
-  kernels::LstmCellForwardC(gates.data(), c_prev.data(), batch, hidden, out.data());
-  plan::RecordLstmCellC(gates, c_prev, out);
+  OpDesc d = Desc(Op::kLstmC);
+  d.m = batch;
+  d.n = hidden;
+  plan::Forward(d, {&gates, &c_prev}, out);
   return out;
 }
 
@@ -638,8 +849,10 @@ Tensor LstmCellH(const Tensor& gates, const Tensor& c_next) {
                                    need_c ? ic->grad.data() : nullptr);
       },
       track);
-  kernels::LstmCellForwardH(gates.data(), c_next.data(), batch, hidden, out.data());
-  plan::RecordLstmCellH(gates, c_next, out);
+  OpDesc d = Desc(Op::kLstmH);
+  d.m = batch;
+  d.n = hidden;
+  plan::Forward(d, {&gates, &c_next}, out);
   return out;
 }
 
@@ -660,21 +873,16 @@ Tensor Transpose(const Tensor& a) {
         }
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
-  }
-  plan::RecordTranspose(a, out);
+  OpDesc d = Desc(Op::kTranspose);
+  d.m = m;
+  d.n = n;
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
 Tensor Relu(const Tensor& a) {
-  Tensor out = ElementwiseUnary(
-      a, "Relu", [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float, float dy) { return x > 0.0f ? dy : 0.0f; });
-  plan::RecordUnary(plan::Un::kRelu, a, out);
-  return out;
+  return ElementwiseUnary(a, "Relu", Un::kRelu,
+                          [](float x, float, float dy) { return x > 0.0f ? dy : 0.0f; });
 }
 
 // Tanh/Sigmoid/Exp forwards run through the kernels-layer transcendentals
@@ -682,69 +890,49 @@ Tensor Relu(const Tensor& a) {
 // forms only need the saved output y, so they stay scalar arithmetic.
 
 Tensor Tanh(const Tensor& a) {
-  Tensor out = ElementwiseUnaryBulk(
-      a, "Tanh", [](const float* x, float* y, int64_t n) { kernels::TanhForward(x, y, n); },
-      [](float, float y, float dy) { return dy * (1.0f - y * y); });
-  plan::RecordUnary(plan::Un::kTanh, a, out);
-  return out;
+  return ElementwiseUnary(a, "Tanh", Un::kTanh,
+                          [](float, float y, float dy) { return dy * (1.0f - y * y); });
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  Tensor out = ElementwiseUnaryBulk(
-      a, "Sigmoid",
-      [](const float* x, float* y, int64_t n) { kernels::SigmoidForward(x, y, n); },
-      [](float, float y, float dy) { return dy * y * (1.0f - y); });
-  plan::RecordUnary(plan::Un::kSigmoid, a, out);
-  return out;
+  return ElementwiseUnary(a, "Sigmoid", Un::kSigmoid,
+                          [](float, float y, float dy) { return dy * y * (1.0f - y); });
 }
 
 Tensor Exp(const Tensor& a) {
-  Tensor out = ElementwiseUnaryBulk(
-      a, "Exp", [](const float* x, float* y, int64_t n) { kernels::ExpForward(x, y, n); },
-      [](float, float y, float dy) { return dy * y; });
-  plan::RecordUnary(plan::Un::kExp, a, out);
-  return out;
+  return ElementwiseUnary(a, "Exp", Un::kExp,
+                          [](float, float y, float dy) { return dy * y; });
 }
 
 Tensor LogClamped(const Tensor& a, float eps) {
-  Tensor out = ElementwiseUnary(
-      a, "LogClamped", [eps](float x) { return std::log(std::max(x, eps)); },
-      [eps](float x, float, float dy) { return dy / std::max(x, eps); });
-  plan::RecordUnary(plan::Un::kLogClamped, a, out, eps);
-  return out;
+  return ElementwiseUnary(
+      a, "LogClamped", Un::kLogClamped,
+      [eps](float x, float, float dy) { return dy / std::max(x, eps); }, eps);
 }
 
 Tensor Square(const Tensor& a) {
-  Tensor out = ElementwiseUnary(
-      a, "Square", [](float x) { return x * x; },
-      [](float x, float, float dy) { return dy * 2.0f * x; });
-  plan::RecordUnary(plan::Un::kSquare, a, out);
-  return out;
+  return ElementwiseUnary(a, "Square", Un::kSquare,
+                          [](float x, float, float dy) { return dy * 2.0f * x; });
 }
 
 Tensor Sqrt(const Tensor& a, float eps) {
-  Tensor out = ElementwiseUnary(
-      a, "Sqrt", [](float x) { return std::sqrt(std::max(x, 0.0f)); },
+  return ElementwiseUnary(
+      a, "Sqrt", Un::kSqrt,
       [eps](float, float y, float dy) { return dy * 0.5f / std::max(y, eps); });
-  plan::RecordUnary(plan::Un::kSqrt, a, out);
-  return out;
 }
 
 Tensor Abs(const Tensor& a) {
-  Tensor out = ElementwiseUnary(
-      a, "Abs", [](float x) { return std::fabs(x); },
-      [](float x, float, float dy) { return x > 0.0f ? dy : (x < 0.0f ? -dy : 0.0f); });
-  plan::RecordUnary(plan::Un::kAbs, a, out);
-  return out;
+  return ElementwiseUnary(a, "Abs", Un::kAbs, [](float x, float, float dy) {
+    return x > 0.0f ? dy : (x < 0.0f ? -dy : 0.0f);
+  });
 }
 
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   ADAPTRAJ_CHECK_MSG(lo <= hi, "Clamp: lo > hi");
-  Tensor out = ElementwiseUnary(
-      a, "Clamp", [lo, hi](float x) { return std::min(std::max(x, lo), hi); },
-      [lo, hi](float x, float, float dy) { return (x >= lo && x <= hi) ? dy : 0.0f; });
-  plan::RecordUnary(plan::Un::kClamp, a, out, lo, hi);
-  return out;
+  return ElementwiseUnary(
+      a, "Clamp", Un::kClamp,
+      [lo, hi](float x, float, float dy) { return (x >= lo && x <= hi) ? dy : 0.0f; }, lo,
+      hi);
 }
 
 Tensor Sum(const Tensor& a) {
@@ -821,16 +1009,13 @@ Tensor ReduceAxis(const Tensor& a, int axis, bool keepdim, bool mean, const char
         }
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  for (int64_t ou = 0; ou < outer; ++ou) {
-    for (int64_t iin = 0; iin < inner; ++iin) {
-      double acc = 0.0;
-      for (int64_t e = 0; e < extent; ++e) acc += pa[(ou * extent + e) * inner + iin];
-      po[ou * inner + iin] = static_cast<float>(acc) * scale;
-    }
-  }
-  plan::RecordReduceAxis(mean, outer, extent, inner, a, out);
+  OpDesc d = Desc(Op::kReduce);
+  d.outer = outer;
+  d.extent = extent;
+  d.inner = inner;
+  d.f0 = scale;
+  d.flag_a = mean;
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -863,42 +1048,30 @@ Tensor MaxAxis(const Tensor& a, int axis, bool keepdim) {
   for (int d = axis + 1; d < a.dim(); ++d) inner *= in[d];
   const int64_t extent = in[axis];
 
-  // Record argmax positions during the forward pass for the backward route.
-  auto argmax = std::make_shared<std::vector<int64_t>>(outer * inner);
   bool track = a.needs_grad();
   Impl ia = a.impl();
   Tensor out = MakeOutput(
       out_shape, {ia}, "MaxAxis",
-      [ia, argmax, outer, inner, extent](TensorImpl& o) {
+      [ia, outer, inner, extent](TensorImpl& o) {
+        // The backward rescans the retained input for the argmax, so the
+        // forward stores no positions.
         ia->EnsureGrad();
         float* ga = ia->grad.data();
         const float* gy = o.grad.data();
         for (int64_t ou = 0; ou < outer; ++ou) {
           for (int64_t iin = 0; iin < inner; ++iin) {
-            const int64_t best = (*argmax)[ou * inner + iin];
-            ga[(ou * extent + best) * inner + iin] += gy[ou * inner + iin];
+            const int64_t base = ou * extent * inner + iin;
+            const int64_t best = ArgMax(ia->data.data() + base, extent, inner);
+            ga[base + best * inner] += gy[ou * inner + iin];
           }
         }
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  for (int64_t ou = 0; ou < outer; ++ou) {
-    for (int64_t iin = 0; iin < inner; ++iin) {
-      int64_t best = 0;
-      float best_val = pa[(ou * extent) * inner + iin];
-      for (int64_t e = 1; e < extent; ++e) {
-        const float v = pa[(ou * extent + e) * inner + iin];
-        if (v > best_val) {
-          best_val = v;
-          best = e;
-        }
-      }
-      (*argmax)[ou * inner + iin] = best;
-      po[ou * inner + iin] = best_val;
-    }
-  }
-  plan::RecordMaxAxis(outer, extent, inner, a, out);
+  OpDesc d = Desc(Op::kMaxAxis);
+  d.outer = outer;
+  d.extent = extent;
+  d.inner = inner;
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -929,14 +1102,10 @@ Tensor Softmax(const Tensor& a) {
         });
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      kernels::SoftmaxRow(&pa[r * cols], &po[r * cols], cols);
-    }
-  });
-  plan::RecordSoftmax(a, out);
+  OpDesc d = Desc(Op::kSoftmax);
+  d.m = rows;
+  d.n = cols;
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -1038,17 +1207,12 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
         }
       },
       track);
-  float* po = out.data();
-  int64_t offset = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    const float* src = parts[p].data();
-    for (int64_t ou = 0; ou < outer; ++ou) {
-      std::copy(&src[ou * extents[p] * inner], &src[(ou + 1) * extents[p] * inner],
-                &po[(ou * axis_total + offset) * inner]);
-    }
-    offset += extents[p];
-  }
-  plan::RecordConcat(parts, outer, inner, extents, out);
+  OpDesc d = Desc(Op::kConcat);
+  d.outer = outer;
+  d.extent = axis_total;
+  d.inner = inner;
+  d.extents = extents.data();
+  plan::Forward(d, parts, out);
   return out;
 }
 
@@ -1081,13 +1245,13 @@ Tensor Slice(const Tensor& a, int axis, int64_t start, int64_t end) {
         }
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  for (int64_t ou = 0; ou < outer; ++ou) {
-    const float* src = &pa[(ou * in_extent + start) * inner];
-    std::copy(src, src + out_extent * inner, &po[ou * out_extent * inner]);
-  }
-  plan::RecordSlice(a, outer, inner, in_extent, out_extent, start, out);
+  OpDesc d = Desc(Op::kSlice);
+  d.outer = outer;
+  d.extent = in_extent;
+  d.inner = inner;
+  d.m = out_extent;
+  d.start = start;
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -1121,11 +1285,12 @@ Tensor Stack(const std::vector<Tensor>& parts) {
         }
       },
       track);
-  float* po = out.data();
-  for (size_t p = 0; p < parts.size(); ++p) {
-    std::copy(parts[p].data(), parts[p].data() + block, &po[p * block]);
-  }
-  plan::RecordStack(parts, out);
+  // A Concat along a new leading axis: one block of unit extent per part.
+  OpDesc d = Desc(Op::kConcat);
+  d.outer = 1;
+  d.extent = static_cast<int64_t>(parts.size());
+  d.inner = block;
+  plan::Forward(d, parts, out);
   return out;
 }
 
@@ -1138,8 +1303,9 @@ Tensor Reshape(const Tensor& a, const Shape& shape) {
   Tensor out = MakeOutput(
       shape, {ia}, "Reshape",
       [ia](TensorImpl& o) { ia->AccumulateGrad(o.grad.data(), o.size()); }, track);
-  std::copy(a.data(), a.data() + a.size(), out.data());
-  plan::RecordCopy(a, out);
+  OpDesc d = Desc(Op::kCopy);
+  d.n = a.size();
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -1156,8 +1322,9 @@ Tensor GradReverse(const Tensor& a, float lambda) {
         for (int64_t i = 0; i < n; ++i) ga[i] += -lambda * gy[i];
       },
       track);
-  std::copy(a.data(), a.data() + a.size(), out.data());
-  plan::RecordCopy(a, out);
+  OpDesc d = Desc(Op::kCopy);
+  d.n = a.size();
+  plan::Forward(d, {&a}, out);
   return out;
 }
 
@@ -1179,11 +1346,10 @@ Tensor MaskedFill(const Tensor& a, const Tensor& mask, float value) {
         }
       },
       track);
-  float* po = out.data();
-  const float* pa = a.data();
-  const float* pm = mask.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = (pm[i] != 0.0f) ? value : pa[i];
-  plan::RecordMaskedFill(a, mask, value, out);
+  OpDesc d = Desc(Op::kMaskedFill);
+  d.n = a.size();
+  d.f0 = value;
+  plan::Forward(d, {&a, &mask}, out);
   return out;
 }
 

@@ -40,14 +40,6 @@
 //                        most accum_steps tasks). 1 = serial training loop.
 //                        Results are bit-identical for any value; only
 //                        wall-clock changes.
-//   ADAPTRAJ_SIMD        "0" / "off" / "scalar" force the transcendental
-//                        kernels (exp/tanh/sigmoid, softmax rows, LSTM gate
-//                        activations) onto scalar libm; unset or any other
-//                        value leaves the vectorized approximations on. The
-//                        SIMD path also requires a startup accuracy sweep —
-//                        see kernels::TranscendentalPath in tensor/kernels.h
-//                        for the per-process override used by tests and
-//                        benchmarks.
 //   ADAPTRAJ_GEMM        "0" / "off" / "portable" force Gemm/BatchGemm/
 //                        PlanGemm onto the portable register tile (the
 //                        rollback switch); unset or any other value runs a

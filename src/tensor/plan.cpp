@@ -2,16 +2,16 @@
 // See plan.h for the lifecycle and the determinism contract.
 //
 // Structure:
-//   - a thread-local Recorder that the ops-layer hooks append structured
-//     steps to (tensors resolve to slots by impl identity; every impl seen
-//     during a capture is retained so heap-address reuse cannot alias slots),
+//   - Forward, the one recording entry: it runs an op's forward and, while
+//     a thread-local Recorder is active, appends the op's step (tensors
+//     resolve to slots by impl identity; every impl seen during a capture is
+//     retained so heap-address reuse cannot alias slots),
 //   - a compiler that rewrites the step list (LayerNorm chain, scaled/masked
 //     softmax, LstmC+H, GEMM bias/activation epilogues with pre-packed
 //     weights), sweeps dead steps, and assigns every intermediate an offset
 //     in one pooled arena via a last-use liveness scan,
-//   - per-step runner functions that replicate the eager forward loops
-//     exactly (same kernels, same chunk grains, same accumulation orders),
 //   - the PlanCache / PredictSession pair that methods drive.
+// Steps replay through RunForward (ops.cpp), the function eager ops run.
 
 #include "tensor/plan.h"
 
@@ -27,7 +27,6 @@
 #include "support/thread_annotations.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 
 namespace adaptraj {
 namespace plan {
@@ -36,9 +35,6 @@ namespace {
 
 using internal::TensorImpl;
 using Impl = std::shared_ptr<TensorImpl>;
-
-/// Mirrors ops.cpp: elementwise loops below this run inline.
-constexpr int64_t kElementwiseGrain = 1 << 14;
 
 /// Max compiled plans per cache before LRU eviction.
 constexpr size_t kMaxPlans = 32;
@@ -54,7 +50,6 @@ Mode EnvMode() {
     std::string v(env);
     for (char& c : v) c = static_cast<char>(std::tolower(c));
     if (v == "0" || v == "off" || v == "false") return Mode::kOff;
-    if (v == "verify") return Mode::kVerify;
     return Mode::kOn;
   }();
   return resolved;
@@ -62,40 +57,22 @@ Mode EnvMode() {
 
 // --- Step / slot model -------------------------------------------------------
 
-enum class K : int {
-  kUnary, kBinary, kBroadcast, kMatMul, kBatchMatMul, kAffine, kDualMatMul,
-  kLstmC, kLstmH, kTranspose, kSoftmax, kReduce, kMaxAxis, kMaskedFill,
-  kCopy, kConcat, kSlice, kRandn, kRand,
-  // Created by the compiler:
-  kPlanGemm, kLstmCH, kScaledSoftmax, kLayerNorm,
-};
-
-struct Step;
-
-struct ReplayCtx {
-  float* const* p;      // per-slot base pointers
-  const float* consts;  // packed-constant pool
-  Rng* rng;
-};
-
-struct Step {
-  K kind;
+/// One recorded or compiler-built op: its description plus slot ids. The
+/// OpDesc pointer fields are bound to the step's own storage by Bind once
+/// the plan is compiled.
+struct Step : OpDesc {
   std::vector<int> in;
   int out = -1;
   int out2 = -1;
-  int64_t m = 0, n = 0, k = 0, k2 = 0;
-  int64_t outer = 0, inner = 0, extent = 0, start = 0;
-  int iop = 0;                   // Un / Bin code; kernels::PlanAct for kPlanGemm
-  bool flag_a = false, flag_b = false;
-  float f0 = 0.0f, f1 = 0.0f;
-  Shape b_shape, out_shape;      // broadcast operand / output shapes
-  std::vector<int64_t> extents;  // concat part extents
+  std::vector<int64_t> part_extents;  // kConcat, when not all 1
   int64_t c0 = -1, c1 = -1, c2 = -1;  // constants offsets (W, W2, bias)
-  /// kPlanGemm: the kernel path the packed constants were laid out for at
-  /// capture time. Replay always uses this path, so flipping the global GEMM
-  /// path between capture and replay cannot misread the packing.
-  kernels::GemmPath gpath = kernels::GemmPath::kPortable;
-  void (*run)(ReplayCtx&, const Step&) = nullptr;
+
+  void Bind(const float* constants) {
+    extents = part_extents.empty() ? nullptr : part_extents.data();
+    packed[0] = c0 >= 0 ? constants + c0 : nullptr;
+    packed[1] = c1 >= 0 ? constants + c1 : nullptr;
+    packed[2] = c2 >= 0 ? constants + c2 : nullptr;
+  }
 };
 
 struct SlotDef {
@@ -153,8 +130,10 @@ Tensor CompiledPlan::Execute(const std::vector<const Tensor*>& inputs,
         break;
     }
   }
-  ReplayCtx ctx{p.data(), constants.data(), rng};
-  for (const Step& s : steps) s.run(ctx, s);
+  for (const Step& s : steps) {
+    RunForward(s, Operands{p.data(), s.in.data(), s.in.size()}, p[s.out],
+               s.out2 >= 0 ? p[s.out2] : nullptr, rng);
+  }
   internal::ReleaseBuffer(std::move(arena));
   return Tensor::FromImpl(std::move(rimpl));
 }
@@ -222,336 +201,6 @@ Recorder* ActiveRecorder() {
   return (r != nullptr && !r->aborted) ? r : nullptr;
 }
 
-// --- Runners -----------------------------------------------------------------
-//
-// Each replicates the corresponding eager forward pass exactly: same
-// kernels, same ParallelFor grains (chunking never affects bits — every op
-// here is lane-independent or serial), same accumulation orders.
-
-template <typename F>
-void RunElementwise1(ReplayCtx& ctx, const Step& s, F f) {
-  const float* x = ctx.p[s.in[0]];
-  float* y = ctx.p[s.out];
-  parallel::ParallelFor(0, s.n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) y[i] = f(x[i]);
-  });
-}
-
-void RunAddScalar(ReplayCtx& c, const Step& s) {
-  const float v = s.f0;
-  RunElementwise1(c, s, [v](float x) { return x + v; });
-}
-void RunMulScalar(ReplayCtx& c, const Step& s) {
-  const float v = s.f0;
-  RunElementwise1(c, s, [v](float x) { return x * v; });
-}
-void RunRelu(ReplayCtx& c, const Step& s) {
-  RunElementwise1(c, s, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-void RunSquare(ReplayCtx& c, const Step& s) {
-  RunElementwise1(c, s, [](float x) { return x * x; });
-}
-void RunSqrt(ReplayCtx& c, const Step& s) {
-  RunElementwise1(c, s, [](float x) { return std::sqrt(std::max(x, 0.0f)); });
-}
-void RunAbs(ReplayCtx& c, const Step& s) {
-  RunElementwise1(c, s, [](float x) { return std::fabs(x); });
-}
-void RunClamp(ReplayCtx& c, const Step& s) {
-  const float lo = s.f0, hi = s.f1;
-  RunElementwise1(c, s, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
-}
-void RunLogClamped(ReplayCtx& c, const Step& s) {
-  const float eps = s.f0;
-  RunElementwise1(c, s, [eps](float x) { return std::log(std::max(x, eps)); });
-}
-
-template <void (*Bulk)(const float*, float*, int64_t)>
-void RunTranscendental(ReplayCtx& ctx, const Step& s) {
-  const float* x = ctx.p[s.in[0]];
-  float* y = ctx.p[s.out];
-  // Per-chunk bulk call, exactly like ElementwiseUnaryBulk.
-  parallel::ParallelFor(0, s.n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    Bulk(x + lo, y + lo, hi - lo);
-  });
-}
-
-template <typename F>
-void RunElementwise2(ReplayCtx& ctx, const Step& s, F f) {
-  const float* a = ctx.p[s.in[0]];
-  const float* b = ctx.p[s.in[1]];
-  float* y = ctx.p[s.out];
-  parallel::ParallelFor(0, s.n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) y[i] = f(a[i], b[i]);
-  });
-}
-
-void RunAdd(ReplayCtx& c, const Step& s) {
-  RunElementwise2(c, s, [](float x, float y) { return x + y; });
-}
-void RunSub(ReplayCtx& c, const Step& s) {
-  RunElementwise2(c, s, [](float x, float y) { return x - y; });
-}
-void RunMul(ReplayCtx& c, const Step& s) {
-  RunElementwise2(c, s, [](float x, float y) { return x * y; });
-}
-void RunDiv(ReplayCtx& c, const Step& s) {
-  RunElementwise2(c, s, [](float x, float y) { return x / y; });
-}
-
-/// ops.cpp's BroadcastCursor, replicated: odometer walk over the output
-/// shape with zero strides on broadcast dims.
-class BroadcastCursor {
- public:
-  BroadcastCursor(const Shape& out_shape, const Shape& b_shape)
-      : rank_(static_cast<int>(out_shape.size())),
-        extent_(out_shape),
-        index_(out_shape.size(), 0),
-        stride_(out_shape.size(), 0) {
-    int64_t s = 1;
-    for (int d = rank_ - 1; d >= 0; --d) {
-      stride_[d] = b_shape[d] == 1 ? 0 : s;
-      s *= b_shape[d];
-    }
-  }
-  int64_t offset() const { return offset_; }
-  void Advance() {
-    for (int d = rank_ - 1; d >= 0; --d) {
-      offset_ += stride_[d];
-      if (++index_[d] < extent_[d]) return;
-      index_[d] = 0;
-      offset_ -= stride_[d] * extent_[d];
-    }
-  }
-
- private:
-  int rank_;
-  Shape extent_;
-  std::vector<int64_t> index_;
-  std::vector<int64_t> stride_;
-  int64_t offset_ = 0;
-};
-
-template <typename F>
-void RunBroadcastImpl(ReplayCtx& ctx, const Step& s, F f) {
-  const float* a = ctx.p[s.in[0]];
-  const float* b = ctx.p[s.in[1]];
-  float* y = ctx.p[s.out];
-  BroadcastCursor cur(s.out_shape, s.b_shape);
-  for (int64_t i = 0; i < s.n; ++i, cur.Advance()) {
-    y[i] = f(a[i], b[cur.offset()]);
-  }
-}
-
-void RunBroadcastAdd(ReplayCtx& c, const Step& s) {
-  RunBroadcastImpl(c, s, [](float x, float y) { return x + y; });
-}
-void RunBroadcastMul(ReplayCtx& c, const Step& s) {
-  RunBroadcastImpl(c, s, [](float x, float y) { return x * y; });
-}
-
-void RunMatMul(ReplayCtx& c, const Step& s) {
-  kernels::Gemm(false, false, s.m, s.n, s.k, c.p[s.in[0]], c.p[s.in[1]],
-                c.p[s.out], false);
-}
-
-void RunBatchMatMul(ReplayCtx& c, const Step& s) {
-  kernels::BatchGemm(s.flag_a, s.flag_b, s.outer, s.m, s.n, s.k, c.p[s.in[0]],
-                     c.p[s.in[1]], c.p[s.out], false);
-}
-
-void RunAffineGeneric(ReplayCtx& c, const Step& s) {
-  kernels::Gemm(false, false, s.m, s.n, s.k, c.p[s.in[0]], c.p[s.in[1]],
-                c.p[s.out], false);
-  kernels::AddRowBias(c.p[s.out], c.p[s.in[2]], s.m, s.n);
-}
-
-void RunDualGeneric(ReplayCtx& c, const Step& s) {
-  kernels::Gemm(false, false, s.m, s.n, s.k, c.p[s.in[0]], c.p[s.in[1]],
-                c.p[s.out], false);
-  kernels::Gemm(false, false, s.m, s.n, s.k2, c.p[s.in[2]], c.p[s.in[3]],
-                c.p[s.out], true);
-  if (s.in.size() > 4) kernels::AddRowBias(c.p[s.out], c.p[s.in[4]], s.m, s.n);
-}
-
-void RunLstmC(ReplayCtx& c, const Step& s) {
-  kernels::LstmCellForwardC(c.p[s.in[0]], c.p[s.in[1]], s.m, s.n, c.p[s.out]);
-}
-void RunLstmH(ReplayCtx& c, const Step& s) {
-  kernels::LstmCellForwardH(c.p[s.in[0]], c.p[s.in[1]], s.m, s.n, c.p[s.out]);
-}
-void RunLstmCH(ReplayCtx& c, const Step& s) {
-  kernels::LstmCellForwardCH(c.p[s.in[0]], c.p[s.in[1]], s.m, s.n, c.p[s.out],
-                             c.p[s.out2]);
-}
-
-void RunTranspose(ReplayCtx& c, const Step& s) {
-  const float* a = c.p[s.in[0]];
-  float* y = c.p[s.out];
-  for (int64_t i = 0; i < s.m; ++i) {
-    for (int64_t j = 0; j < s.n; ++j) y[j * s.m + i] = a[i * s.n + j];
-  }
-}
-
-void RunSoftmax(ReplayCtx& c, const Step& s) {
-  const float* x = c.p[s.in[0]];
-  float* y = c.p[s.out];
-  const int64_t cols = s.n;
-  parallel::ParallelFor(0, s.m, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      kernels::SoftmaxRow(&x[r * cols], &y[r * cols], cols);
-    }
-  });
-}
-
-void RunReduce(ReplayCtx& c, const Step& s) {
-  const float* a = c.p[s.in[0]];
-  float* y = c.p[s.out];
-  const float scale = s.f0;
-  for (int64_t ou = 0; ou < s.outer; ++ou) {
-    for (int64_t iin = 0; iin < s.inner; ++iin) {
-      double acc = 0.0;
-      for (int64_t e = 0; e < s.extent; ++e) {
-        acc += a[(ou * s.extent + e) * s.inner + iin];
-      }
-      y[ou * s.inner + iin] = static_cast<float>(acc) * scale;
-    }
-  }
-}
-
-void RunMaxAxis(ReplayCtx& c, const Step& s) {
-  const float* a = c.p[s.in[0]];
-  float* y = c.p[s.out];
-  for (int64_t ou = 0; ou < s.outer; ++ou) {
-    for (int64_t iin = 0; iin < s.inner; ++iin) {
-      float best = a[(ou * s.extent) * s.inner + iin];
-      for (int64_t e = 1; e < s.extent; ++e) {
-        const float v = a[(ou * s.extent + e) * s.inner + iin];
-        if (v > best) best = v;
-      }
-      y[ou * s.inner + iin] = best;
-    }
-  }
-}
-
-void RunMaskedFill(ReplayCtx& c, const Step& s) {
-  const float* a = c.p[s.in[0]];
-  const float* m = c.p[s.in[1]];
-  float* y = c.p[s.out];
-  const float value = s.f0;
-  for (int64_t i = 0; i < s.n; ++i) y[i] = (m[i] != 0.0f) ? value : a[i];
-}
-
-void RunCopy(ReplayCtx& c, const Step& s) {
-  std::memcpy(c.p[s.out], c.p[s.in[0]],
-              static_cast<size_t>(s.n) * sizeof(float));
-}
-
-void RunConcat(ReplayCtx& c, const Step& s) {
-  float* y = c.p[s.out];
-  int64_t offset = 0;
-  for (size_t part = 0; part < s.in.size(); ++part) {
-    const float* src = c.p[s.in[part]];
-    const int64_t ext = s.extents[part];
-    for (int64_t ou = 0; ou < s.outer; ++ou) {
-      std::copy(&src[ou * ext * s.inner], &src[(ou + 1) * ext * s.inner],
-                &y[(ou * s.extent + offset) * s.inner]);
-    }
-    offset += ext;
-  }
-}
-
-void RunSlice(ReplayCtx& c, const Step& s) {
-  const float* a = c.p[s.in[0]];
-  float* y = c.p[s.out];
-  for (int64_t ou = 0; ou < s.outer; ++ou) {
-    const float* src = &a[(ou * s.extent + s.start) * s.inner];
-    std::copy(src, src + s.m * s.inner, &y[ou * s.m * s.inner]);
-  }
-}
-
-void RunRandn(ReplayCtx& c, const Step& s) {
-  float* y = c.p[s.out];
-  for (int64_t i = 0; i < s.n; ++i) y[i] = c.rng->Normal(0.0f, s.f0);
-}
-
-void RunRand(ReplayCtx& c, const Step& s) {
-  float* y = c.p[s.out];
-  for (int64_t i = 0; i < s.n; ++i) y[i] = c.rng->Uniform(s.f0, s.f1);
-}
-
-void RunPlanGemm(ReplayCtx& c, const Step& s) {
-  const float* a2 = s.in.size() > 1 ? c.p[s.in[1]] : nullptr;
-  kernels::PlanGemm(s.m, s.n, s.k, c.p[s.in[0]], c.consts + s.c0, s.k2, a2,
-                    s.c1 >= 0 ? c.consts + s.c1 : nullptr,
-                    s.c2 >= 0 ? c.consts + s.c2 : nullptr,
-                    static_cast<kernels::PlanAct>(s.iop), c.p[s.out], s.gpath);
-}
-
-void RunScaledSoftmax(ReplayCtx& c, const Step& s) {
-  const float* mask = s.in.size() > 1 ? c.p[s.in[1]] : nullptr;
-  kernels::ScaledMaskedSoftmaxRows(c.p[s.in[0]], mask, s.f0, s.f1, s.m, s.n,
-                                   c.p[s.out]);
-}
-
-void RunLayerNorm(ReplayCtx& c, const Step& s) {
-  kernels::LayerNormRows(c.p[s.in[0]], s.m, s.n, s.f0, c.p[s.out]);
-}
-
-void AssignRunner(Step& s) {
-  switch (s.kind) {
-    case K::kUnary:
-      switch (static_cast<Un>(s.iop)) {
-        case Un::kAddScalar: s.run = RunAddScalar; break;
-        case Un::kMulScalar: s.run = RunMulScalar; break;
-        case Un::kRelu: s.run = RunRelu; break;
-        case Un::kTanh: s.run = RunTranscendental<kernels::TanhForward>; break;
-        case Un::kSigmoid:
-          s.run = RunTranscendental<kernels::SigmoidForward>;
-          break;
-        case Un::kExp: s.run = RunTranscendental<kernels::ExpForward>; break;
-        case Un::kSquare: s.run = RunSquare; break;
-        case Un::kSqrt: s.run = RunSqrt; break;
-        case Un::kAbs: s.run = RunAbs; break;
-        case Un::kClamp: s.run = RunClamp; break;
-        case Un::kLogClamped: s.run = RunLogClamped; break;
-      }
-      break;
-    case K::kBinary:
-      switch (static_cast<Bin>(s.iop)) {
-        case Bin::kAdd: s.run = RunAdd; break;
-        case Bin::kSub: s.run = RunSub; break;
-        case Bin::kMul: s.run = RunMul; break;
-        case Bin::kDiv: s.run = RunDiv; break;
-      }
-      break;
-    case K::kBroadcast:
-      s.run = static_cast<Bin>(s.iop) == Bin::kAdd ? RunBroadcastAdd
-                                                   : RunBroadcastMul;
-      break;
-    case K::kMatMul: s.run = RunMatMul; break;
-    case K::kBatchMatMul: s.run = RunBatchMatMul; break;
-    case K::kAffine: s.run = RunAffineGeneric; break;
-    case K::kDualMatMul: s.run = RunDualGeneric; break;
-    case K::kLstmC: s.run = RunLstmC; break;
-    case K::kLstmH: s.run = RunLstmH; break;
-    case K::kTranspose: s.run = RunTranspose; break;
-    case K::kSoftmax: s.run = RunSoftmax; break;
-    case K::kReduce: s.run = RunReduce; break;
-    case K::kMaxAxis: s.run = RunMaxAxis; break;
-    case K::kMaskedFill: s.run = RunMaskedFill; break;
-    case K::kCopy: s.run = RunCopy; break;
-    case K::kConcat: s.run = RunConcat; break;
-    case K::kSlice: s.run = RunSlice; break;
-    case K::kRandn: s.run = RunRandn; break;
-    case K::kRand: s.run = RunRand; break;
-    case K::kPlanGemm: s.run = RunPlanGemm; break;
-    case K::kLstmCH: s.run = RunLstmCH; break;
-    case K::kScaledSoftmax: s.run = RunScaledSoftmax; break;
-    case K::kLayerNorm: s.run = RunLayerNorm; break;
-  }
-}
-
 // --- Compiler ----------------------------------------------------------------
 
 struct Analysis {
@@ -574,30 +223,30 @@ Analysis Analyze(const std::vector<Step>& steps, size_t n_slots,
 }
 
 bool IsUnary(const Step& s, Un op) {
-  return s.kind == K::kUnary && static_cast<Un>(s.iop) == op;
+  return s.kind == Op::kUnary && static_cast<Un>(s.code) == op;
 }
 
-/// True when b_shape broadcasts a per-row value over the last axis
-/// (all leading dims equal, last dim 1).
-bool RowBroadcast(const Shape& out_shape, const Shape& b_shape) {
-  if (out_shape.empty() || out_shape.size() != b_shape.size()) return false;
-  for (size_t d = 0; d + 1 < out_shape.size(); ++d) {
-    if (b_shape[d] != out_shape[d]) return false;
+/// True when a broadcast step adds or multiplies a per-row value over the
+/// last axis (all leading dims equal, last dim 1).
+bool RowBroadcast(const Step& s) {
+  if (s.rank == 0) return false;
+  for (int d = 0; d + 1 < s.rank; ++d) {
+    if (s.b_shape[d] != s.shape[d]) return false;
   }
-  return b_shape.back() == 1;
+  return s.b_shape[s.rank - 1] == 1;
 }
 
 /// Fuses LstmCellC + LstmCellH over the same gates into one two-output step.
 int64_t FuseLstmCH(std::vector<Step>& steps, std::vector<bool>& dead) {
   int64_t fused = 0;
   for (size_t i = 0; i < steps.size(); ++i) {
-    if (dead[i] || steps[i].kind != K::kLstmC) continue;
+    if (dead[i] || steps[i].kind != Op::kLstmC) continue;
     for (size_t j = i + 1; j < steps.size(); ++j) {
-      if (dead[j] || steps[j].kind != K::kLstmH) continue;
+      if (dead[j] || steps[j].kind != Op::kLstmH) continue;
       if (steps[j].in[0] != steps[i].in[0] || steps[j].in[1] != steps[i].out) {
         continue;
       }
-      steps[i].kind = K::kLstmCH;
+      steps[i].kind = Op::kLstmCH;
       steps[i].out2 = steps[j].out;
       dead[j] = true;
       ++fused;
@@ -613,7 +262,7 @@ int64_t FuseScaledSoftmax(std::vector<Step>& steps, std::vector<bool>& dead,
   int64_t fused = 0;
   Analysis a = Analyze(steps, slots.size(), result_slot);
   for (size_t i = 0; i < steps.size(); ++i) {
-    if (dead[i] || steps[i].kind != K::kSoftmax) continue;
+    if (dead[i] || steps[i].kind != Op::kSoftmax) continue;
     Step& sm = steps[i];
     const int x = sm.in[0];
     int pd = a.producer[x];
@@ -621,7 +270,7 @@ int64_t FuseScaledSoftmax(std::vector<Step>& steps, std::vector<bool>& dead,
     int mask = -1;
     float fill = 0.0f;
     int scale_step = -1;
-    if (steps[pd].kind == K::kMaskedFill) {
+    if (steps[pd].kind == Op::kMaskedFill) {
       const int y = steps[pd].in[0];
       mask = steps[pd].in[1];
       fill = steps[pd].f0;
@@ -639,7 +288,7 @@ int64_t FuseScaledSoftmax(std::vector<Step>& steps, std::vector<bool>& dead,
     }
     const int base = steps[scale_step].in[0];
     if (mask >= 0 && slots[mask].elems != slots[base].elems) continue;
-    sm.kind = K::kScaledSoftmax;
+    sm.kind = Op::kScaledSoftmax;
     sm.in.clear();
     sm.in.push_back(base);
     if (mask >= 0) sm.in.push_back(mask);
@@ -665,7 +314,7 @@ int64_t FuseLayerNorm(std::vector<Step>& steps, std::vector<bool>& dead,
   for (size_t i = 0; i < steps.size(); ++i) {
     if (dead[i]) continue;
     Step& sbm = steps[i];
-    if (sbm.kind != K::kBroadcast || static_cast<Bin>(sbm.iop) != Bin::kMul) {
+    if (sbm.kind != Op::kBroadcast || static_cast<Bin>(sbm.code) != Bin::kMul) {
       continue;
     }
     Analysis a = Analyze(steps, slots.size(), result_slot);
@@ -673,8 +322,8 @@ int64_t FuseLayerNorm(std::vector<Step>& steps, std::vector<bool>& dead,
     const int inv = sbm.in[1];
     const int pi = a.producer[inv];
     if (pi < 0 || dead[pi] || a.consumers[inv] != 1 ||
-        steps[pi].kind != K::kBinary ||
-        static_cast<Bin>(steps[pi].iop) != Bin::kDiv) {
+        steps[pi].kind != Op::kBinary ||
+        static_cast<Bin>(steps[pi].code) != Bin::kDiv) {
       continue;
     }
     const int ones = steps[pi].in[0];
@@ -702,7 +351,7 @@ int64_t FuseLayerNorm(std::vector<Step>& steps, std::vector<bool>& dead,
     const int var = steps[pveps].in[0];
     const int pvar = a.producer[var];
     if (pvar < 0 || dead[pvar] || a.consumers[var] != 1 ||
-        steps[pvar].kind != K::kReduce || !steps[pvar].flag_a ||
+        steps[pvar].kind != Op::kReduce || !steps[pvar].flag_a ||
         steps[pvar].inner != 1) {
       continue;
     }
@@ -714,10 +363,9 @@ int64_t FuseLayerNorm(std::vector<Step>& steps, std::vector<bool>& dead,
     }
     const int pc = a.producer[centered];
     if (pc < 0 || dead[pc] || a.consumers[centered] != 2 ||
-        steps[pc].kind != K::kBroadcast ||
-        static_cast<Bin>(steps[pc].iop) != Bin::kAdd ||
-        !RowBroadcast(steps[pc].out_shape, steps[pc].b_shape) ||
-        !RowBroadcast(sbm.out_shape, sbm.b_shape)) {
+        steps[pc].kind != Op::kBroadcast ||
+        static_cast<Bin>(steps[pc].code) != Bin::kAdd ||
+        !RowBroadcast(steps[pc]) || !RowBroadcast(sbm)) {
       continue;
     }
     const int x = steps[pc].in[0];
@@ -730,14 +378,14 @@ int64_t FuseLayerNorm(std::vector<Step>& steps, std::vector<bool>& dead,
     const int mean = steps[pneg].in[0];
     const int pmean = a.producer[mean];
     if (pmean < 0 || dead[pmean] || a.consumers[mean] != 1 ||
-        steps[pmean].kind != K::kReduce || !steps[pmean].flag_a ||
+        steps[pmean].kind != Op::kReduce || !steps[pmean].flag_a ||
         steps[pmean].inner != 1 || steps[pmean].in[0] != x) {
       continue;
     }
     const int64_t rows = steps[pmean].outer;
     const int64_t cols = steps[pmean].extent;
     if (steps[pvar].outer != rows || steps[pvar].extent != cols) continue;
-    sbm.kind = K::kLayerNorm;
+    sbm.kind = Op::kLayerNorm;
     sbm.in.clear();
     sbm.in.push_back(x);
     sbm.m = rows;
@@ -783,9 +431,9 @@ int64_t FuseGemmEpilogues(std::vector<Step>& steps, std::vector<bool>& dead,
   for (size_t i = 0; i < steps.size(); ++i) {
     if (dead[i]) continue;
     Step& s = steps[i];
-    const bool is_affine = s.kind == K::kAffine;
-    const bool is_dual = s.kind == K::kDualMatMul;
-    const bool is_matmul = s.kind == K::kMatMul;
+    const bool is_affine = s.kind == Op::kAffine;
+    const bool is_dual = s.kind == Op::kDualMatMul;
+    const bool is_matmul = s.kind == Op::kMatMul;
     if (!is_affine && !is_dual && !is_matmul) continue;
     const int w1 = is_dual ? s.in[1] : s.in[1];
     if (slots[w1].kind != SlotDef::kExternal) continue;
@@ -802,9 +450,9 @@ int64_t FuseGemmEpilogues(std::vector<Step>& steps, std::vector<bool>& dead,
     kernels::PlanAct act = kernels::PlanAct::kNone;
     if (s.out != result_slot && a.consumers[s.out] == 1) {
       for (size_t j = i + 1; j < steps.size(); ++j) {
-        if (dead[j] || steps[j].kind != K::kUnary) continue;
+        if (dead[j] || steps[j].kind != Op::kUnary) continue;
         if (steps[j].in[0] != s.out) continue;
-        const Un op = static_cast<Un>(steps[j].iop);
+        const Un op = static_cast<Un>(steps[j].code);
         if (op == Un::kRelu) act = kernels::PlanAct::kRelu;
         else if (op == Un::kTanh) act = kernels::PlanAct::kTanh;
         else if (op == Un::kSigmoid) act = kernels::PlanAct::kSigmoid;
@@ -826,8 +474,8 @@ int64_t FuseGemmEpilogues(std::vector<Step>& steps, std::vector<bool>& dead,
     s.in.clear();
     s.in.push_back(a1);
     if (a2 >= 0) s.in.push_back(a2);
-    s.kind = K::kPlanGemm;
-    s.iop = static_cast<int>(act);
+    s.kind = Op::kPlanGemm;
+    s.code = static_cast<int>(act);
     s.gpath = gpath;
     if (!is_dual) s.k2 = 0;
     ++fused;  // the packed conversion itself removes the bias/pack traffic
@@ -845,7 +493,7 @@ int64_t EliminateDeadSteps(std::vector<Step>& steps, std::vector<bool>& dead,
   for (size_t ri = steps.size(); ri-- > 0;) {
     if (dead[ri]) continue;
     Step& s = steps[ri];
-    const bool side_effect = s.kind == K::kRandn || s.kind == K::kRand;
+    const bool side_effect = s.kind == Op::kRandn || s.kind == Op::kRand;
     const bool live = side_effect || (s.out >= 0 && needed[s.out]) ||
                       (s.out2 >= 0 && needed[s.out2]);
     if (!live) {
@@ -958,7 +606,7 @@ std::shared_ptr<const CompiledPlan> Compile(Recorder& rec,
 
   plan->slots[result_slot].kind = SlotDef::kResult;
   plan->arena_elems = AssignArena(plan->steps, plan->slots, result_slot);
-  for (Step& s : plan->steps) AssignRunner(s);
+  for (Step& s : plan->steps) s.Bind(plan->constants.data());
   return plan;
 }
 
@@ -1207,12 +855,12 @@ Tensor PredictSession::Finish(Tensor eager_result) {
             std::memcmp(replayed.data(), eager_result.data(),
                         static_cast<size_t>(replayed.size()) *
                             sizeof(float)) == 0,
-        "ADAPTRAJ_PLAN=verify: replayed Predict diverged from eager for key "
+        "plan verify mode: replayed Predict diverged from eager for key "
             << st.key);
     ADAPTRAJ_CHECK_MSG(
         st.rng == nullptr ||
             st.verify_rng->engine() == st.rng->engine(),
-        "ADAPTRAJ_PLAN=verify: replayed rng stream diverged for key "
+        "plan verify mode: replayed rng stream diverged for key "
             << st.key);
     st.cache->state_->hits.fetch_add(1, std::memory_order_relaxed);
     return eager_result;
@@ -1224,318 +872,30 @@ Tensor PredictSession::Finish(Tensor eager_result) {
   return eager_result;
 }
 
-// --- Recording hooks ---------------------------------------------------------
+// --- Recording ---------------------------------------------------------------
 
 bool Recording() { return ActiveRecorder() != nullptr; }
 
-namespace {
-
-/// Appends a step for an op output; returns null when not recording.
-Recorder* BeginOpStep(const Tensor& out) {
-  Recorder* r = ActiveRecorder();
-  if (r == nullptr) return nullptr;
-  if (!out.defined()) {
-    r->Abort("op produced an undefined tensor");
-    return nullptr;
+void Forward(const OpDesc& d, OpInputs in, const Tensor& out, Rng* rng) {
+  // Gathers the input pointers into a per-thread table, so an op call makes
+  // no allocation once the table has grown to the widest Concat seen.
+  thread_local std::vector<float*> ptrs;
+  ptrs.clear();
+  for (size_t i = 0; i < in.size(); ++i) {
+    ptrs.push_back(const_cast<float*>(in[i].data()));
   }
+  RunForward(d, Operands{ptrs.data(), nullptr, ptrs.size()},
+             out.impl()->data.data(), nullptr, rng);
+
+  Recorder* r = ActiveRecorder();
+  if (r == nullptr) return;
+  Step s;
+  static_cast<OpDesc&>(s) = d;
+  for (size_t i = 0; i < in.size(); ++i) s.in.push_back(r->SlotOfValue(in[i]));
+  s.out = r->SlotOfOutput(out);
+  if (d.extents != nullptr) s.part_extents.assign(d.extents, d.extents + in.size());
+  s.extents = nullptr;
   r->op_steps++;
-  return r;
-}
-
-}  // namespace
-
-void RecordUnary(Un op, const Tensor& a, const Tensor& out, float p0,
-                 float p1) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kUnary;
-  s.iop = static_cast<int>(op);
-  s.in.push_back(r->SlotOfValue(a));
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  s.f0 = p0;
-  s.f1 = p1;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordBinary(Bin op, const Tensor& a, const Tensor& b,
-                  const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kBinary;
-  s.iop = static_cast<int>(op);
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(b)};
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  r->steps.push_back(std::move(s));
-}
-
-void RecordBroadcast(Bin op, const Tensor& a, const Tensor& b,
-                     const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kBroadcast;
-  s.iop = static_cast<int>(op);
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(b)};
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  s.out_shape = out.shape();
-  s.b_shape = b.shape();
-  r->steps.push_back(std::move(s));
-}
-
-void RecordMatMul(const Tensor& a, const Tensor& b, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kMatMul;
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(b)};
-  s.out = r->SlotOfOutput(out);
-  s.m = a.shape()[0];
-  s.k = a.shape()[1];
-  s.n = b.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordBatchMatMul(const Tensor& a, const Tensor& b, bool trans_a,
-                       bool trans_b, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kBatchMatMul;
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(b)};
-  s.out = r->SlotOfOutput(out);
-  s.outer = a.shape()[0];
-  s.m = trans_a ? a.shape()[2] : a.shape()[1];
-  s.k = trans_a ? a.shape()[1] : a.shape()[2];
-  s.n = trans_b ? b.shape()[1] : b.shape()[2];
-  s.flag_a = trans_a;
-  s.flag_b = trans_b;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordAffine(const Tensor& a, const Tensor& w, const Tensor& bias,
-                  const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kAffine;
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(w), r->SlotOfValue(bias)};
-  s.out = r->SlotOfOutput(out);
-  s.m = a.shape()[0];
-  s.k = a.shape()[1];
-  s.n = w.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordDualMatMul(const Tensor& a, const Tensor& wa, const Tensor& b,
-                      const Tensor& wb, const Tensor* bias,
-                      const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kDualMatMul;
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(wa), r->SlotOfValue(b),
-          r->SlotOfValue(wb)};
-  if (bias != nullptr) s.in.push_back(r->SlotOfValue(*bias));
-  s.out = r->SlotOfOutput(out);
-  s.m = a.shape()[0];
-  s.k = a.shape()[1];
-  s.k2 = b.shape()[1];
-  s.n = wa.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordLstmCellC(const Tensor& gates, const Tensor& c_prev,
-                     const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kLstmC;
-  s.in = {r->SlotOfValue(gates), r->SlotOfValue(c_prev)};
-  s.out = r->SlotOfOutput(out);
-  s.m = gates.shape()[0];
-  s.n = c_prev.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordLstmCellH(const Tensor& gates, const Tensor& c_next,
-                     const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kLstmH;
-  s.in = {r->SlotOfValue(gates), r->SlotOfValue(c_next)};
-  s.out = r->SlotOfOutput(out);
-  s.m = gates.shape()[0];
-  s.n = c_next.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordTranspose(const Tensor& a, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kTranspose;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.m = a.shape()[0];
-  s.n = a.shape()[1];
-  r->steps.push_back(std::move(s));
-}
-
-void RecordSoftmax(const Tensor& a, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kSoftmax;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.n = a.shape().back();
-  s.m = s.n == 0 ? 0 : a.size() / s.n;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordReduceAxis(bool mean, int64_t outer, int64_t extent, int64_t inner,
-                      const Tensor& a, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kReduce;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.outer = outer;
-  s.extent = extent;
-  s.inner = inner;
-  s.flag_a = mean;
-  s.f0 = mean ? 1.0f / static_cast<float>(extent) : 1.0f;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordMaxAxis(int64_t outer, int64_t extent, int64_t inner,
-                   const Tensor& a, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kMaxAxis;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.outer = outer;
-  s.extent = extent;
-  s.inner = inner;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordMaskedFill(const Tensor& a, const Tensor& mask, float value,
-                      const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kMaskedFill;
-  s.in = {r->SlotOfValue(a), r->SlotOfValue(mask)};
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  s.f0 = value;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordCopy(const Tensor& a, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kCopy;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  r->steps.push_back(std::move(s));
-}
-
-void RecordConcat(const std::vector<Tensor>& parts, int64_t outer,
-                  int64_t inner, const std::vector<int64_t>& extents,
-                  const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kConcat;
-  for (const Tensor& t : parts) s.in.push_back(r->SlotOfValue(t));
-  s.out = r->SlotOfOutput(out);
-  s.outer = outer;
-  s.inner = inner;
-  s.extents = extents;
-  s.extent = 0;
-  for (int64_t e : extents) s.extent += e;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordSlice(const Tensor& a, int64_t outer, int64_t inner,
-                 int64_t in_extent, int64_t out_extent, int64_t start,
-                 const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kSlice;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.outer = outer;
-  s.inner = inner;
-  s.extent = in_extent;
-  s.m = out_extent;
-  s.start = start;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordStack(const std::vector<Tensor>& parts, const Tensor& out) {
-  Recorder* r = BeginOpStep(out);
-  if (r == nullptr) return;
-  // Stack is Concat along a new leading axis: outer == 1, unit extents.
-  Step s;
-  s.kind = K::kConcat;
-  const int64_t block = parts.empty() ? 0 : parts[0].size();
-  for (const Tensor& t : parts) {
-    s.in.push_back(r->SlotOfValue(t));
-    s.extents.push_back(1);
-  }
-  s.out = r->SlotOfOutput(out);
-  s.outer = 1;
-  s.inner = block;
-  s.extent = static_cast<int64_t>(parts.size());
-  r->steps.push_back(std::move(s));
-}
-
-void RecordRandn(const Tensor& out, float stddev) {
-  Recorder* r = ActiveRecorder();
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kRandn;
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  s.f0 = stddev;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordRand(const Tensor& out, float lo, float hi) {
-  Recorder* r = ActiveRecorder();
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kRand;
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
-  s.f0 = lo;
-  s.f1 = hi;
-  r->steps.push_back(std::move(s));
-}
-
-void RecordDetach(const Tensor& a, const Tensor& out) {
-  Recorder* r = ActiveRecorder();
-  if (r == nullptr) return;
-  Step s;
-  s.kind = K::kCopy;
-  s.in = {r->SlotOfValue(a)};
-  s.out = r->SlotOfOutput(out);
-  s.n = out.size();
   r->steps.push_back(std::move(s));
 }
 

@@ -9,9 +9,10 @@
 // Lifecycle (driven by PredictSession inside each core::Method::Predict):
 //
 //   1. First call for a (method, batch-shape, sample) key: the session
-//      installs a thread-local recorder, the eager body runs unchanged, and
-//      every op appends one structured step (kind + extents + slot ids).
-//      Tensors resolve to slots by impl identity: registered batch fields
+//      installs a thread-local recorder and the eager body runs unchanged.
+//      Every op runs its forward through the one entry point, Forward,
+//      which also appends the op's structured step (its OpDesc + slot ids)
+//      while the recorder is active. Tensors resolve to slots by impl identity: registered batch fields
 //      become rebind-per-call inputs, anything else first seen as a step
 //      input becomes a retained external constant (parameters, eval-mode
 //      masks, Zeros/Full/FromVector leaves), and op outputs become arena
@@ -21,11 +22,12 @@
 //      with pre-packed weights), dead steps drop, and a liveness pass
 //      pre-assigns every intermediate an offset in one pooled arena buffer.
 //   2. Later calls with the same key replay: resolve the input pointers,
-//      acquire the arena, run the fused kernels in order. Zero GradNodes,
-//      zero shape inference, zero per-op allocation.
+//      acquire the arena, run every step's RunForward in order. Zero
+//      GradNodes, zero shape inference, zero per-op allocation.
 //
 // Determinism contract: a replayed Predict is bit-identical to the eager
-// no-grad call. Fused kernels replicate the eager per-element arithmetic
+// no-grad call. Unfused steps run the very function the eager op ran;
+// fused kernels replicate the eager per-element arithmetic
 // exactly (ascending-k register accumulation, bias-after-full-sum, the
 // active SIMD-or-scalar transcendental path — see kernels.h "Planned
 // execution"), and rng-drawing steps (Tensor::Randn/Rand) replay their
@@ -34,11 +36,12 @@
 //
 // Safety: capture aborts to permanent eager fallback for the key when the
 // body is not a pure traced forward — a grad-mode op (LBEBM's Langevin
-// island), a Backward() call, or any op without a recording hook (detected
-// by an op-output/step count mismatch, so new ops degrade gracefully). The
-// ADAPTRAJ_PLAN env var is the kill-switch (unset/"1"/"on" = on, "0"/"off"
-// = off, "verify" = replay AND run eager, then compare bit-exactly);
-// SetMode overrides it programmatically for tests and benchmarks.
+// island), a Backward() call, or any op that does not run through Forward
+// (detected by an op-output/step count mismatch, so new ops degrade
+// gracefully). The ADAPTRAJ_PLAN env var is the kill-switch (unset/"1"/"on"
+// = on, "0"/"off" = off); SetMode overrides it programmatically for tests
+// and benchmarks, and its kVerify mode replays AND runs eager, then
+// compares bit-exactly.
 //
 // Weight rebinding: plans hold parameter storage as retained impls and
 // re-read them on every replay, so in-place parameter updates
@@ -52,11 +55,14 @@
 #ifndef ADAPTRAJ_TENSOR_PLAN_H_
 #define ADAPTRAJ_TENSOR_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace adaptraj {
@@ -159,66 +165,98 @@ class PredictSession {
   std::unique_ptr<internal_plan::SessionState> state_;
 };
 
-// --- Recording hooks (called by ops.cpp / tensor.cpp) ------------------------
+// --- The one forward per op --------------------------------------------------
 //
-// Every hook is a cheap no-op unless the calling thread is inside a
-// capturing PredictSession. Ops hooks (RecordXxx called at the tail of an
-// ops:: function) additionally count toward the op-output balance that
-// detects unhooked ops; factory hooks (Randn/Rand/Detach) do not.
+// Every recordable op is described by a POD OpDesc (kind, op code, extents,
+// scalars) and computed by exactly one function, RunForward, over raw
+// pointers. Eager ops call it through Forward on their live tensors; a plan
+// step is an OpDesc plus slot ids, and replay calls RunForward on the slot
+// pointers. An unfused step therefore replays the very code its eager op
+// ran; the compiler-built kinds run fused kernels pinned bit-exact against
+// the eager chains they replace (kernels.h "Planned execution").
 
 /// True when the calling thread is capturing (tests).
 bool Recording();
 
+enum class Op : int {
+  kUnary, kBinary, kBroadcast, kMatMul, kBatchMatMul, kAffine, kDualMatMul,
+  kLstmC, kLstmH, kTranspose, kSoftmax, kReduce, kMaxAxis, kMaskedFill,
+  kCopy, kConcat, kSlice, kRandn, kRand,
+  // Built by the plan compiler from recorded steps, never by an eager op:
+  kPlanGemm, kLstmCH, kScaledSoftmax, kLayerNorm,
+};
 enum class Un : int {
   kAddScalar = 0, kMulScalar, kRelu, kTanh, kSigmoid, kExp, kSquare, kSqrt,
   kAbs, kClamp, kLogClamped,
 };
 enum class Bin : int { kAdd = 0, kSub, kMul, kDiv };
 
-void RecordUnary(Un op, const Tensor& a, const Tensor& out, float p0 = 0.0f,
-                 float p1 = 0.0f);
-void RecordBinary(Bin op, const Tensor& a, const Tensor& b, const Tensor& out);
-void RecordBroadcast(Bin op, const Tensor& a, const Tensor& b,
-                     const Tensor& out);
-void RecordMatMul(const Tensor& a, const Tensor& b, const Tensor& out);
-void RecordBatchMatMul(const Tensor& a, const Tensor& b, bool trans_a,
-                       bool trans_b, const Tensor& out);
-void RecordAffine(const Tensor& a, const Tensor& w, const Tensor& bias,
-                  const Tensor& out);
-/// AddMatMul (bias == nullptr) and LinearGates (bias set).
-void RecordDualMatMul(const Tensor& a, const Tensor& wa, const Tensor& b,
-                      const Tensor& wb, const Tensor* bias, const Tensor& out);
-void RecordLstmCellC(const Tensor& gates, const Tensor& c_prev,
-                     const Tensor& out);
-void RecordLstmCellH(const Tensor& gates, const Tensor& c_next,
-                     const Tensor& out);
-void RecordTranspose(const Tensor& a, const Tensor& out);
-void RecordSoftmax(const Tensor& a, const Tensor& out);
-void RecordReduceAxis(bool mean, int64_t outer, int64_t extent, int64_t inner,
-                      const Tensor& a, const Tensor& out);
-void RecordMaxAxis(int64_t outer, int64_t extent, int64_t inner,
-                   const Tensor& a, const Tensor& out);
-void RecordMaskedFill(const Tensor& a, const Tensor& mask, float value,
-                      const Tensor& out);
-/// Reshape / GradReverse: element-preserving copies.
-void RecordCopy(const Tensor& a, const Tensor& out);
-void RecordConcat(const std::vector<Tensor>& parts, int64_t outer,
-                  int64_t inner, const std::vector<int64_t>& extents,
-                  const Tensor& out);
-void RecordSlice(const Tensor& a, int64_t outer, int64_t inner,
-                 int64_t in_extent, int64_t out_extent, int64_t start,
-                 const Tensor& out);
-void RecordStack(const std::vector<Tensor>& parts, const Tensor& out);
+/// Highest tensor rank a broadcast op accepts.
+constexpr int kMaxRank = 8;
 
-/// Factory hooks (tensor.cpp). Randn/Rand record rng-drawing steps that
-/// replay their draws in the eager element order; Detach records a copy.
-void RecordRandn(const Tensor& out, float stddev);
-void RecordRand(const Tensor& out, float lo, float hi);
-void RecordDetach(const Tensor& a, const Tensor& out);
+/// Everything an op's forward needs besides its operand pointers. Which
+/// fields an op reads is listed per kind at RunForward (ops.cpp).
+struct OpDesc {
+  Op kind = Op::kCopy;
+  int code = 0;  // Un / Bin; kernels::PlanAct for kPlanGemm
+  bool flag_a = false, flag_b = false;  // transposes; kReduce: flag_a = mean
+  int64_t m = 0, n = 0, k = 0, k2 = 0;
+  int64_t outer = 0, inner = 0, extent = 0, start = 0;
+  float f0 = 0.0f, f1 = 0.0f;
+  int rank = 0;                          // kBroadcast: output rank and
+  int64_t shape[kMaxRank] = {};          // extents, and the extents of the
+  int64_t b_shape[kMaxRank] = {};        // broadcast operand
+  const int64_t* extents = nullptr;      // kConcat: part extents, or null
+                                         // for all 1 (Stack)
+  const float* packed[3] = {};           // kPlanGemm: W, W2, bias panels
+  kernels::GemmPath gpath = kernels::GemmPath::kPortable;  // kPlanGemm
+};
 
-/// Called by MakeOutputCore for every op output. Counts toward the
-/// hook-balance check and aborts the capture when a tracked op runs with
-/// GradMode enabled (the body is not a pure no-grad forward).
+/// The input pointers of one op: base[i], or base[index[i]] when index is
+/// set (plan replay indexes its slot table by the step's slot ids).
+struct Operands {
+  float* const* base;
+  const int* index;
+  size_t count;
+  const float* operator[](size_t i) const {
+    return base[index != nullptr ? index[i] : static_cast<int>(i)];
+  }
+};
+
+/// Runs the forward of `d`: reads `in`, writes `out` (and `out2` for
+/// kLstmCH). Draws from `rng` for kRandn / kRand. Defined in ops.cpp beside
+/// the eager ops and their backward passes.
+void RunForward(const OpDesc& d, Operands in, float* out, float* out2,
+                Rng* rng);
+
+/// The tensors an op reads: a list, or the parts of a Concat / Stack.
+class OpInputs {
+ public:
+  OpInputs(std::initializer_list<const Tensor*> list) : list_(list) {}
+  OpInputs(const std::vector<Tensor>& parts)  // NOLINT(runtime/explicit)
+      : parts_(parts.data()), n_parts_(parts.size()) {}
+  size_t size() const { return parts_ != nullptr ? n_parts_ : list_.size(); }
+  const Tensor& operator[](size_t i) const {
+    return parts_ != nullptr ? parts_[i] : *list_.begin()[i];
+  }
+
+ private:
+  std::initializer_list<const Tensor*> list_;
+  const Tensor* parts_ = nullptr;
+  size_t n_parts_ = 0;
+};
+
+/// The one recording entry: runs `d` on the live tensors into `out` and,
+/// only while this thread is capturing, resolves the tensors to slots and
+/// appends the step. Called by every ops:: forward and by the Randn / Rand /
+/// Detach factories.
+void Forward(const OpDesc& d, OpInputs in, const Tensor& out,
+             Rng* rng = nullptr);
+
+/// Called for every op output (MakeOutputCore and the Forward-backed
+/// factories). A capture whose op outputs outnumber its Forward calls ran an
+/// op without a plan step (Sum, LogSoftmax, NllLoss) and aborts; so does one
+/// where a tracked op runs with GradMode enabled (not a pure no-grad forward).
 void NoteOpOutput(bool track);
 
 /// Called by Tensor::Backward: a capture containing a backward pass aborts.

@@ -106,6 +106,18 @@ std::shared_ptr<internal::TensorImpl> MakeImpl(const Shape& shape, bool requires
   return impl;
 }
 
+/// Runs a factory's forward through plan::Forward, so a capture records it
+/// like any op: rng draws are a recorded side effect that replay re-draws in
+/// the same element order, advancing the stream identically to eager.
+Tensor FactoryForward(plan::OpDesc d, plan::OpInputs in, const Shape& shape,
+                      bool requires_grad, Rng* rng) {
+  Tensor out = Tensor::FromImpl(MakeImpl(shape, requires_grad, /*zero=*/false));
+  d.n = out.size();
+  plan::NoteOpOutput(/*track=*/false);
+  plan::Forward(d, in, out, rng);
+  return out;
+}
+
 }  // namespace
 
 Tensor Tensor::Zeros(const Shape& shape, bool requires_grad) {
@@ -140,23 +152,20 @@ Tensor Tensor::Scalar(float value, bool requires_grad) {
 
 Tensor Tensor::Randn(const Shape& shape, Rng* rng, float stddev, bool requires_grad) {
   ADAPTRAJ_CHECK(rng != nullptr);
-  auto impl = MakeImpl(shape, requires_grad, /*zero=*/false);
-  for (auto& v : impl->data) v = rng->Normal(0.0f, stddev);
-  Tensor out = FromImpl(std::move(impl));
-  // Rng draws are a recorded side effect: replay re-draws in the same
-  // element order so the stream advances identically to eager.
-  plan::RecordRandn(out, stddev);
-  return out;
+  plan::OpDesc d;
+  d.kind = plan::Op::kRandn;
+  d.f0 = stddev;
+  return FactoryForward(d, {}, shape, requires_grad, rng);
 }
 
 Tensor Tensor::Rand(const Shape& shape, Rng* rng, float lo, float hi,
                     bool requires_grad) {
   ADAPTRAJ_CHECK(rng != nullptr);
-  auto impl = MakeImpl(shape, requires_grad, /*zero=*/false);
-  for (auto& v : impl->data) v = rng->Uniform(lo, hi);
-  Tensor out = FromImpl(std::move(impl));
-  plan::RecordRand(out, lo, hi);
-  return out;
+  plan::OpDesc d;
+  d.kind = plan::Op::kRand;
+  d.f0 = lo;
+  d.f1 = hi;
+  return FactoryForward(d, {}, shape, requires_grad, rng);
 }
 
 Tensor Tensor::FromImpl(std::shared_ptr<internal::TensorImpl> impl) {
@@ -246,13 +255,9 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   ADAPTRAJ_CHECK(defined());
-  auto impl = std::make_shared<internal::TensorImpl>();
-  impl->shape = impl_->shape;
-  impl->data = impl_->data;  // copy keeps semantics simple and safe
-  impl->requires_grad = false;
-  Tensor out = FromImpl(std::move(impl));
-  plan::RecordDetach(*this, out);
-  return out;
+  plan::OpDesc d;
+  d.kind = plan::Op::kCopy;  // a copy keeps semantics simple and safe
+  return FactoryForward(d, {this}, impl_->shape, /*requires_grad=*/false, nullptr);
 }
 
 Tensor Tensor::Clone() const { return Detach(); }
