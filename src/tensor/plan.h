@@ -12,11 +12,11 @@
 //      installs a thread-local recorder and the eager body runs unchanged.
 //      Every op runs its forward through the one entry point, Forward,
 //      which also appends the op's structured step (its OpDesc + slot ids)
-//      while the recorder is active. Tensors resolve to slots by impl identity: registered batch fields
-//      become rebind-per-call inputs, anything else first seen as a step
-//      input becomes a retained external constant (parameters, eval-mode
-//      masks, Zeros/Full/FromVector leaves), and op outputs become arena
-//      slots. The capture then compiles: elementwise chains fuse
+//      while the recorder is active. Tensors resolve to slots by impl
+//      identity: registered batch fields become rebind-per-call inputs,
+//      anything else first seen as a step input becomes a retained external
+//      constant (parameters, eval-mode masks, Zeros/Full/FromVector leaves),
+//      and op outputs become arena slots. The capture then compiles: elementwise chains fuse
 //      (MulScalar∘[MaskedFill∘]Softmax, LayerNorm's normalize chain,
 //      LstmCellC+H, Affine/LinearGates/MatMul + bias/activation epilogues
 //      with pre-packed weights), dead steps drop, and a liveness pass
@@ -229,7 +229,9 @@ struct Operands {
 void RunForward(const OpDesc& d, Operands in, float* out, float* out2,
                 Rng* rng);
 
-/// The tensors an op reads: a list, or the parts of a Concat / Stack.
+/// The tensors an op reads: a list, or the parts of a Concat / Stack. A
+/// parameter type only: it views the caller's list, which lives until the
+/// call returns.
 class OpInputs {
  public:
   OpInputs(std::initializer_list<const Tensor*> list) : list_(list) {}
