@@ -4,7 +4,8 @@
 // so shape fidelity (orderings, trends) can be checked at a glance. Scale is
 // controlled by the ADAPTRAJ_BENCH_SCALE environment variable:
 //   fast     - minimal corpora/epochs, smoke-test the harness (~seconds/table)
-//   standard - default; preserves the paper's orderings (~minutes/table)
+//   standard - default (~minutes/table); the measured orderings do not all
+//              match the paper's (see ROADMAP item 1)
 //   full     - larger corpora/epochs for tighter numbers
 
 #ifndef ADAPTRAJ_BENCH_BENCH_UTIL_H_

@@ -55,9 +55,6 @@ class AdapTrajMethod : public Method {
   Tensor PredictEncode(const data::Batch& batch) const override;
   Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
                        bool sample) const override;
-  bool reentrant_predict() const override {
-    return model_->backbone().reentrant_predict();
-  }
   std::unique_ptr<Method> CloneForServing() const override;
 
   AdapTrajModel& model() { return *model_; }

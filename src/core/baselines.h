@@ -36,7 +36,6 @@ class VanillaMethod : public Method {
   Tensor PredictEncode(const data::Batch& batch) const override;
   Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
                        bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
   std::unique_ptr<Method> CloneForServing() const override;
 
   models::Backbone& backbone() { return *backbone_; }
@@ -72,7 +71,6 @@ class CounterMethod : public Method {
   Tensor PredictEncode(const data::Batch& batch) const override;
   Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
                        bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
   std::unique_ptr<Method> CloneForServing() const override;
 
  private:
@@ -101,7 +99,6 @@ class CausalMotionMethod : public Method {
   Tensor PredictEncode(const data::Batch& batch) const override;
   Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
                        bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
   std::unique_ptr<Method> CloneForServing() const override;
 
  private:

@@ -110,24 +110,23 @@ class Method {
     return weights_version_.load(std::memory_order_acquire);
   }
 
-  /// True when concurrent Predict() calls on this instance are safe (see
-  /// models::Backbone::reentrant_predict). serve::InferenceEngine runs
-  /// non-reentrant methods on private replicas (CloneForServing) — or one
-  /// batch at a time when the method is not clonable.
+  /// True when concurrent Predict() calls on this instance are safe. Every
+  /// built-in method is (all backbones only read parameters in Predict).
+  /// serve::InferenceEngine runs the batches of a method that returns false
+  /// one at a time; serve::FaultInjectingMethod does so to pin a fault to a
+  /// batch index.
   virtual bool reentrant_predict() const { return true; }
 
-  /// Builds an independent serving replica: a structurally identical model
+  /// Builds an independent serving copy: a structurally identical model
   /// tree constructed from the same configuration, with this method's
   /// current parameter values copied in (Module::CopyParametersFrom) and
-  /// left in inference mode. Replica predictions are bit-identical to the
+  /// left in inference mode. The copy's predictions are bit-identical to the
   /// original's — construction seeds only decide initial weights, which the
-  /// parameter copy overwrites — so serve::ReplicaPool can run a
-  /// non-reentrant Predict (LBEBM's Langevin sampler writes its model's
-  /// gradient buffers) on several batches concurrently, each on a private
-  /// copy. Returns nullptr when the method cannot be replicated; the built-in
-  /// methods all can, the default covers external subclasses. Clones start
-  /// with an empty plan cache, so a serving swap can never replay a plan
-  /// holding the pre-swap weights.
+  /// parameter copy overwrites — so serve::InferenceEngine::SwapWeights can
+  /// serve it as a warm standby. Returns nullptr when the method cannot be
+  /// copied; the built-in methods all can, the default covers external
+  /// subclasses. Clones start with an empty plan cache, so a serving swap
+  /// can never replay a plan holding the pre-swap weights.
   virtual std::unique_ptr<Method> CloneForServing() const { return nullptr; }
 
   /// Telemetry for this instance's execution-plan cache (tensor/plan.h).

@@ -83,6 +83,9 @@ class Backbone : public nn::Module {
   /// latent noise is drawn from the prior (one of the multi-modal futures);
   /// otherwise the most-likely latent (zero / posterior mean) is used.
   /// `extra` is the AdapTraj conditioning ([B, extra_dim]) or a null Tensor.
+  /// Reentrant: Predict only reads parameters and allocates from
+  /// thread-local pools, so concurrent calls on one instance are safe (LBEBM's
+  /// Langevin sampler differentiates detached parameter copies).
   virtual Tensor Predict(const data::Batch& batch, const EncodeResult& enc,
                          const Tensor& extra, Rng* rng, bool sample) const = 0;
 
@@ -93,13 +96,6 @@ class Backbone : public nn::Module {
 
   /// Human-readable kind.
   virtual BackboneKind kind() const = 0;
-
-  /// True when concurrent Predict() calls on one instance are safe (forward
-  /// passes only read parameters and allocate from thread-local pools).
-  /// LBEBM returns false: its Langevin sampler backpropagates through the
-  /// shared energy network's gradient buffers. serve::InferenceEngine
-  /// consults this to serialize batch execution for such backbones.
-  virtual bool reentrant_predict() const { return true; }
 
  protected:
   /// Returns `extra` when defined, otherwise zeros of [batch, extra_dim];

@@ -32,7 +32,6 @@ LbebmBackbone::LbebmBackbone(const BackboneConfig& config, Rng* rng)
   RegisterModule("posterior", &posterior_);
   RegisterModule("energy", &energy_);
   RegisterModule("decoder", &decoder_);
-  all_params_ = Parameters();
 }
 
 EncodeResult LbebmBackbone::Encode(const data::Batch& batch) const {
@@ -62,13 +61,18 @@ Tensor LbebmBackbone::SampleLangevin(const Tensor& context, Rng* rng) const {
   EnableGradGuard grad_island;
   const int64_t b = context.shape()[0];
   Tensor ctx = context.Detach();
+  // Only dE/dz is needed. Detached parameter copies keep every backward
+  // closure off the shared parameters: dz is bit-identical, dW and db are
+  // skipped, and no gradient buffer is written.
+  std::vector<Tensor> energy_params = energy_.Parameters();
+  for (Tensor& p : energy_params) p = p.Detach();
   Tensor z = Tensor::Randn({b, config_.latent_dim}, rng);
   const float step = config_.langevin_step_size;
   const float noise_scale = std::sqrt(step);
   for (int k = 0; k < config_.langevin_steps; ++k) {
     z.set_requires_grad(true);
     z.ZeroGrad();
-    Sum(Energy(z, ctx)).Backward();
+    Sum(energy_.Forward(Concat({z, ctx}, 1), energy_params)).Backward();
     Tensor grad = z.grad();
     // U(z) = E(z, ctx) + 0.5 ||z||^2  (EBM-tilted standard normal prior).
     std::vector<float> next(z.size());
@@ -78,9 +82,6 @@ Tensor LbebmBackbone::SampleLangevin(const Tensor& context, Rng* rng) const {
     }
     z = Tensor::FromVector(z.shape(), std::move(next));
   }
-  // Sampling back-propagated into the energy parameters; wipe those stray
-  // gradients so they cannot leak into the caller's optimizer step.
-  for (Tensor& p : all_params_) p.ZeroGrad();
   return z;
 }
 
@@ -102,8 +103,8 @@ Tensor LbebmBackbone::Predict(const data::Batch& batch, const EncodeResult& enc,
 Tensor LbebmBackbone::Loss(const data::Batch& batch, const EncodeResult& enc,
                            const Tensor& extra, Rng* rng) const {
   const int64_t b = batch.batch_size;
-  // Draw the negative (prior) sample FIRST: Langevin clears all parameter
-  // gradients afterwards, which must not erase the caller's loss graph.
+  // The negative (prior) sample is drawn first: the rng stream order
+  // (Langevin noise, then the posterior's eps) is part of the trained bits.
   Tensor z_neg = SampleLangevin(Context(enc), rng);
 
   // CVAE posterior over latent plans.

@@ -4,7 +4,8 @@
 // A CVAE-style posterior encodes the future into a latent plan; the prior
 // over plans is an energy network sampled with short-run Langevin dynamics.
 // The energy is trained contrastively (posterior samples low, prior samples
-// high). Langevin gradients come from the library's own autograd engine.
+// high). Langevin gradients dE/dz come from the library's own autograd
+// engine.
 
 #ifndef ADAPTRAJ_MODELS_LBEBM_H_
 #define ADAPTRAJ_MODELS_LBEBM_H_
@@ -26,9 +27,6 @@ class LbebmBackbone : public Backbone {
   Tensor Loss(const data::Batch& batch, const EncodeResult& enc, const Tensor& extra,
               Rng* rng) const override;
   BackboneKind kind() const override { return BackboneKind::kLbebm; }
-  /// Langevin sampling writes (then wipes) shared parameter gradients, so
-  /// concurrent Predict() calls on one instance would race.
-  bool reentrant_predict() const override { return false; }
 
   /// Energy of latent plans z [B, latent] under context [B, ctx]: returns
   /// [B, 1]. Exposed for tests.
@@ -36,7 +34,9 @@ class LbebmBackbone : public Backbone {
 
   /// Short-run Langevin sampling from the energy-based prior
   /// p(z|ctx) ~ exp(-E(z,ctx)) N(z; 0, I). Returns a detached [B, latent]
-  /// sample. Exposed for tests.
+  /// sample. The energy runs on detached copies of its parameters, so the
+  /// sampler differentiates with respect to z alone and writes no parameter
+  /// gradient: concurrent calls on one instance are safe. Exposed for tests.
   Tensor SampleLangevin(const Tensor& context, Rng* rng) const;
 
  private:
@@ -49,9 +49,6 @@ class LbebmBackbone : public Backbone {
   nn::Mlp posterior_;  // q(z | future, ctx) -> [mu ; logvar]
   nn::Mlp energy_;     // E(z, ctx) -> scalar
   nn::Mlp decoder_;    // (ctx, z, extra) -> future displacements
-  /// Handles to the full parameter set; Langevin sampling pollutes parameter
-  /// gradients through the autograd tape, so they are cleared afterwards.
-  mutable std::vector<Tensor> all_params_;
   float kl_weight_ = 0.05f;
   float ebm_weight_ = 0.1f;
 };

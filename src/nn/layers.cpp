@@ -36,12 +36,22 @@ Mlp::Mlp(const std::vector<int64_t>& dims, Rng* rng, Activation hidden, Activati
     layers_.push_back(std::make_unique<Linear>(dims[i], dims[i + 1], rng));
     RegisterModule("fc" + std::to_string(i), layers_.back().get());
   }
+  layer_params_ = Parameters();
 }
 
-Tensor Mlp::Forward(const Tensor& x) const {
+Tensor Mlp::Forward(const Tensor& x) const { return Forward(x, layer_params_); }
+
+Tensor Mlp::Forward(const Tensor& x, const std::vector<Tensor>& params) const {
+  ADAPTRAJ_CHECK_MSG(params.size() == 2 * layers_.size(),
+                     "Mlp of " << layers_.size() << " layers needs "
+                               << 2 * layers_.size() << " parameters; got "
+                               << params.size());
+  ADAPTRAJ_CHECK_MSG(x.dim() == 2 && x.shape()[1] == layers_[0]->in_features(),
+                     "Mlp expects [B, " << layers_[0]->in_features() << "]; got "
+                                        << ShapeToString(x.shape()));
   Tensor h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
+    h = Affine(h, params[2 * i], params[2 * i + 1]);
     h = Activate(h, i + 1 < layers_.size() ? hidden_ : output_);
   }
   return h;

@@ -46,10 +46,18 @@ class Mlp : public Module {
   /// Forward pass; x must be [B, dims.front()].
   Tensor Forward(const Tensor& x) const;
 
+  /// The same forward pass with each layer's weight and bias read from
+  /// `params`, given in Parameters() order (fc0.w, fc0.b, fc1.w, ...) at the
+  /// registered shapes. Forward(x) passes the module's own parameters; LBEBM's
+  /// Langevin sampler passes detached copies, so a backward through the
+  /// result writes no parameter gradient.
+  Tensor Forward(const Tensor& x, const std::vector<Tensor>& params) const;
+
   int64_t out_features() const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
+  std::vector<Tensor> layer_params_;  // the layers' parameters, Parameters() order
   Activation hidden_;
   Activation output_;
 };

@@ -40,21 +40,9 @@ FaultSchedule MakeSeededFaultSchedule(uint64_t seed, int64_t num_calls,
 FaultInjectingMethod::FaultInjectingMethod(const core::Method* inner,
                                            FaultSchedule schedule,
                                            bool force_serialized)
-    : inner_(inner),
-      state_(std::make_shared<SharedState>()),
-      force_serialized_(force_serialized) {
+    : inner_(inner), schedule_(std::move(schedule)), force_serialized_(force_serialized) {
   ADAPTRAJ_CHECK_MSG(inner != nullptr, "FaultInjectingMethod over null method");
-  state_->schedule = std::move(schedule);
 }
-
-FaultInjectingMethod::FaultInjectingMethod(const core::Method* inner,
-                                           std::unique_ptr<core::Method> owned_inner,
-                                           std::shared_ptr<SharedState> state,
-                                           bool force_serialized)
-    : inner_(inner),
-      owned_inner_(std::move(owned_inner)),
-      state_(std::move(state)),
-      force_serialized_(force_serialized) {}
 
 std::string FaultInjectingMethod::name() const {
   return "fault(" + inner_->name() + ")";
@@ -70,31 +58,22 @@ bool FaultInjectingMethod::reentrant_predict() const {
   return force_serialized_ ? false : inner_->reentrant_predict();
 }
 
-std::unique_ptr<core::Method> FaultInjectingMethod::CloneForServing() const {
-  if (force_serialized_) return nullptr;
-  std::unique_ptr<core::Method> inner_clone = inner_->CloneForServing();
-  if (inner_clone == nullptr) return nullptr;
-  const core::Method* raw = inner_clone.get();
-  return std::unique_ptr<core::Method>(new FaultInjectingMethod(
-      raw, std::move(inner_clone), state_, force_serialized_));
-}
-
 int64_t FaultInjectingMethod::calls() const {
-  return state_->next_call.load(std::memory_order_relaxed);
+  return next_call_.load(std::memory_order_relaxed);
 }
 
 int64_t FaultInjectingMethod::faults_injected() const {
-  return state_->faults.load(std::memory_order_relaxed);
+  return faults_.load(std::memory_order_relaxed);
 }
 
 Tensor FaultInjectingMethod::Predict(const data::Batch& batch, Rng* rng,
                                      bool sample) const {
-  const int64_t call = state_->next_call.fetch_add(1, std::memory_order_relaxed);
-  const auto it = state_->schedule.find(call);
-  if (it == state_->schedule.end()) return inner_->Predict(batch, rng, sample);
+  const int64_t call = next_call_.fetch_add(1, std::memory_order_relaxed);
+  const auto it = schedule_.find(call);
+  if (it == schedule_.end()) return inner_->Predict(batch, rng, sample);
 
   const FaultSpec& spec = it->second;
-  state_->faults.fetch_add(1, std::memory_order_relaxed);
+  faults_.fetch_add(1, std::memory_order_relaxed);
   switch (spec.kind) {
     case FaultKind::kThrow:
       throw FaultInjectedError("injected fault: Predict call " +

@@ -8,17 +8,14 @@
 // batches). Every other call forwards to the wrapped method untouched, so
 // non-faulted results stay byte-identical to a fault-free run.
 //
-// Determinism: the schedule maps GLOBAL Predict call indices (0-based,
-// shared across the wrapper and all of its serving clones via an atomic
-// counter) to fault specs. Which engine batch receives call index k is
-// deterministic whenever the engine serializes batch execution
-// (num_replicas = 1, or force_serialized() below) — the dispatcher then
-// runs batches in collection order, so call index == batch index. With a
-// replica pool, batches in one wave race for call indices; chaos tests that
-// pin "batch b faults" serialize, tests that only need "exactly one batch
-// faulted somewhere mid-wave" may keep the pool. MakeSeededFaultSchedule
-// derives a schedule from a seed (splitmix64), so a chaos run is
-// reproducible from (seed, rate) alone.
+// Determinism: the schedule maps Predict call indices (0-based, counted by
+// an atomic counter) to fault specs. With force_serialized (the default)
+// the wrapper reports itself non-reentrant, the engine runs batches one at
+// a time in collection order, and call index == batch index. Without it,
+// concurrent batches race for call indices: tests that only need "exactly
+// one batch faulted somewhere in the group" may use that.
+// MakeSeededFaultSchedule derives a schedule from a seed (splitmix64), so a
+// chaos run is reproducible from (seed, rate) alone.
 //
 // This lives in src/serve (not tests/) so the chaos tests, the stress CI
 // job, and the overload bench share one audited implementation; it has no
@@ -30,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -74,9 +70,9 @@ FaultSchedule MakeSeededFaultSchedule(uint64_t seed, int64_t num_calls,
 /// Method decorator injecting the scheduled faults; see the file comment.
 class FaultInjectingMethod : public core::Method {
  public:
-  /// Wraps `inner` (not owned; must outlive the wrapper and every clone).
-  /// `force_serialized` reports the wrapper non-reentrant and unclonable so
-  /// the engine runs one batch at a time and call index == batch index.
+  /// Wraps `inner` (not owned; must outlive the wrapper). `force_serialized`
+  /// reports the wrapper non-reentrant so the engine runs one batch at a
+  /// time and call index == batch index.
   FaultInjectingMethod(const core::Method* inner, FaultSchedule schedule,
                        bool force_serialized = true);
 
@@ -85,39 +81,25 @@ class FaultInjectingMethod : public core::Method {
              const core::TrainConfig& config) override;
   Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override;
   bool reentrant_predict() const override;
-  /// Clones wrap CloneForServing copies of the inner method and SHARE the
-  /// call counter and schedule, so a replica pool over this wrapper still
-  /// faults on the scheduled global call indices.
-  std::unique_ptr<core::Method> CloneForServing() const override;
 
-  /// Predict calls started so far across the wrapper and all clones.
+  /// Predict calls started so far.
   int64_t calls() const;
   /// Faults injected so far (any kind).
   int64_t faults_injected() const;
 
  private:
-  /// Counter + schedule shared between a wrapper and its serving clones.
-  /// Thread-safety contract (no mutex, so nothing for the Clang
-  /// thread-safety analysis to check — deliberately): the two counters are
-  /// lock-free atomics (fetch_add claims a call index uniquely even across
-  /// a replica wave), and `schedule` is written only by the constructor
-  /// before any Predict can run, then read-only for the wrapper's lifetime.
-  /// Atomics ordering stays the TSan legs' job — the analysis treats
-  /// std::atomic as unguarded by design (see support/thread_annotations.h).
-  struct SharedState {
-    std::atomic<int64_t> next_call{0};
-    std::atomic<int64_t> faults{0};
-    FaultSchedule schedule;  // immutable after construction
-  };
-
-  FaultInjectingMethod(const core::Method* inner,
-                       std::unique_ptr<core::Method> owned_inner,
-                       std::shared_ptr<SharedState> state, bool force_serialized);
-
+  // Thread-safety contract (no mutex, so nothing for the Clang
+  // thread-safety analysis to check — deliberately): the two counters are
+  // lock-free atomics (fetch_add claims a call index uniquely even across
+  // concurrent batches), and `schedule_` is written only by the constructor
+  // before any Predict can run, then read-only for the wrapper's lifetime.
+  // Atomics ordering stays the TSan legs' job — the analysis treats
+  // std::atomic as unguarded by design (see support/thread_annotations.h).
   const core::Method* inner_;
-  std::unique_ptr<core::Method> owned_inner_;  // set on clones only
-  std::shared_ptr<SharedState> state_;
+  const FaultSchedule schedule_;
   bool force_serialized_;
+  mutable std::atomic<int64_t> next_call_{0};
+  mutable std::atomic<int64_t> faults_{0};
 };
 
 }  // namespace serve

@@ -33,8 +33,6 @@ void ValidateOptions(const InferenceEngineOptions& options) {
                      "InferenceEngine max_buffered_batches must be >= 0");
   ADAPTRAJ_CHECK_MSG(options.max_batch_delay_ms >= 0,
                      "InferenceEngine max_batch_delay_ms must be >= 0");
-  ADAPTRAJ_CHECK_MSG(options.num_replicas >= 0,
-                     "InferenceEngine num_replicas must be >= 0");
   ADAPTRAJ_CHECK_MSG(options.max_queued_requests >= 0,
                      "InferenceEngine max_queued_requests must be >= 0");
   ADAPTRAJ_CHECK_MSG(options.stuck_batch_warn_ms >= 0,
@@ -107,7 +105,6 @@ InferenceEngine::InferenceEngine(const core::Method* method,
     // Uncontended (the service threads start below); taken so the guarded
     // members are initialized under their capability like everywhere else.
     support::MutexLock lock(mu_);
-    replicas_ = MakeReplicaPool(method_);
     if (EncodeCacheResolvedOn(options_.encode_cache) &&
         method_->predict_encode_width() > 0) {
       EncodeCacheOptions cache_options;
@@ -168,34 +165,11 @@ void InferenceEngine::Shutdown() {
   drained_cv_.NotifyAll();
 }
 
-std::unique_ptr<ReplicaPool> InferenceEngine::MakeReplicaPool(
-    const core::Method* method) const {
-  if (method->reentrant_predict()) return nullptr;
-  const int slots = options_.num_replicas > 0 ? options_.num_replicas
-                                              : parallel::NumTrainWorkers();
-  if (slots <= 1) return nullptr;
-  return std::make_unique<ReplicaPool>(method, slots);
-}
-
-int InferenceEngine::num_replica_slots() const {
-  // Under mu_: SwapWeights replaces the pool at the flip (the unlocked read
-  // this used to do was benign only while no caller overlapped a swap —
-  // surfaced by -Wthread-safety, fixed by locking).
-  support::MutexLock lock(mu_);
-  return replicas_ != nullptr ? replicas_->size() : 1;
-}
-
 InferenceEngineStats InferenceEngine::stats() const {
   support::MutexLock lock(mu_);
   InferenceEngineStats snapshot = stats_;
-  // method_/replicas_ are stable under mu_ (SwapWeights flips them under the
-  // same lock); replica slot 0 aliases method_, so start the sum at slot 1.
+  // method_ is stable under mu_ (SwapWeights flips it under the same lock).
   snapshot.plan = method_->plan_stats();
-  if (replicas_ != nullptr) {
-    for (int slot = 1; slot < replicas_->size(); ++slot) {
-      snapshot.plan += replicas_->method(slot)->plan_stats();
-    }
-  }
   if (encode_cache_ != nullptr) snapshot.encode_cache = encode_cache_->stats();
   return snapshot;
 }
@@ -387,21 +361,18 @@ void InferenceEngine::Drain() {
 
 void InferenceEngine::SwapWeights(const core::Method& source) {
   // Warm standby, built entirely outside the engine lock: traffic keeps
-  // flowing while the clone and its replica pool are constructed.
+  // flowing while the clone is constructed.
   std::unique_ptr<core::Method> standby = source.CloneForServing();
   if (standby == nullptr) {
     throw ServeError("SwapWeights source method is not clonable "
                      "(CloneForServing returned nullptr)");
   }
-  std::unique_ptr<ReplicaPool> standby_pool = MakeReplicaPool(standby.get());
 
   std::unique_ptr<core::Method> retired_method;
-  std::unique_ptr<ReplicaPool> retired_pool;
   {
     support::MutexLock lock(mu_);
-    // Flip at a batch boundary: the dispatcher captures method_/replicas_
-    // under mu_ before releasing it to execute a group, so writing them
-    // while !executing_ under mu_ can never race an in-flight group — and
+    // Flip at a batch boundary: the dispatcher captures method_ under mu_
+    // before releasing it to execute a group, so writing it while !executing_ under mu_ can never race an in-flight group — and
     // every batch collected after the flip sees the new weights. Queued
     // requests are untouched.
     ++blocked_callers_;
@@ -412,10 +383,8 @@ void InferenceEngine::SwapWeights(const core::Method& source) {
       throw EngineStoppedError("SwapWeights on a stopped InferenceEngine");
     }
     retired_method = std::move(owned_method_);
-    retired_pool = std::move(replicas_);
     method_ = standby.get();
     owned_method_ = std::move(standby);
-    replicas_ = std::move(standby_pool);
     if (encode_cache_ != nullptr) {
       // Atomic with the flip: we hold mu_ and no group is executing, so no
       // lookup can observe an old-weights entry after the new method serves.
@@ -423,7 +392,7 @@ void InferenceEngine::SwapWeights(const core::Method& source) {
     }
     ++stats_.weight_swaps;
   }
-  // The retired method and pool are destroyed here, outside the lock.
+  // The retired method is destroyed here, outside the lock.
 }
 
 uint64_t InferenceEngine::ContiguousRunLocked() const {
@@ -498,8 +467,7 @@ std::vector<InferenceEngine::ReadyBatch> InferenceEngine::CollectGroupLocked(
   return group;
 }
 
-void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
-                                  const core::Method* master) const {
+void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method) const {
   const Clock::time_point t0 = Clock::now();
   try {
     NoGradGuard no_grad;
@@ -533,7 +501,7 @@ void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
     }
     data::Batch batch = data::MakeBatch(slots, options_.sequence);
     Rng rng(core::TaskSeed(options_.seed, rb->index));
-    Tensor pred = PredictThroughCache(batch, method, master, &rng);
+    Tensor pred = PredictThroughCache(batch, method, &rng);
     rb->results.assign(rows, Tensor());
     for (size_t r : live) {
       // Slice copies the row into fresh storage, and under no-grad attaches
@@ -554,8 +522,7 @@ void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
 }
 
 Tensor InferenceEngine::PredictThroughCache(const data::Batch& batch,
-                                            const core::Method* method,
-                                            const core::Method* master, Rng* rng) const {
+                                            const core::Method* method, Rng* rng) const {
   if (encode_cache_ == nullptr || batch.batch_size == 0) {
     return method->Predict(batch, rng, options_.sample);
   }
@@ -569,13 +536,11 @@ Tensor InferenceEngine::PredictThroughCache(const data::Batch& batch,
   // distinct encoder input is looked up — and on a miss, encoded — once.
   thread_local EncodeCache::BatchKeys keys;
   encode_cache_->BuildKeys(batch, method->encode_reads_neighbors(), &keys);
-  // Version of the served MASTER, not the per-batch replica: replicas are
-  // structural clones whose counter stays 0, while an in-place Train() on a
-  // live served method — the staleness this guards against — bumps the
-  // master's. Concurrent batches pass the same value; the first clears.
-  // `master` is the dispatcher's under-mu_ capture of method_, stable for
-  // the whole group (SwapWeights flips only at a batch boundary).
-  encode_cache_->ProbeBatch(master->weights_version(), &keys, enc_rows.data(), width);
+  // An in-place Train() on a live served method bumps its version; the
+  // first batch to see the new value clears the cache. `method` is the
+  // dispatcher's under-mu_ capture of method_, stable for the whole group
+  // (SwapWeights flips only at a batch boundary).
+  encode_cache_->ProbeBatch(method->weights_version(), &keys, enc_rows.data(), width);
   const std::vector<int64_t>& miss_rows = keys.miss_rows();
 
   if (!miss_rows.empty()) {
@@ -608,38 +573,19 @@ Tensor InferenceEngine::PredictThroughCache(const data::Batch& batch,
 }
 
 void InferenceEngine::ExecuteGroup(std::vector<ReadyBatch>* group,
-                                   const core::Method* master,
-                                   const ReplicaPool* replicas) const {
-  if (master->reentrant_predict()) {
-    // Reentrant Predict: every batch shares the master model; full
-    // cross-batch concurrency on the training-worker pool.
+                                   const core::Method* method) const {
+  if (method->reentrant_predict()) {
+    // Every batch shares the served model; full cross-batch concurrency on
+    // the training-worker pool.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(group->size());
     for (ReadyBatch& rb : *group) {
-      tasks.push_back([this, &rb, master] { RunOneBatch(&rb, master, master); });
+      tasks.push_back([this, &rb, method] { RunOneBatch(&rb, method); });
     }
     parallel::RunTaskGroup(tasks);
-  } else if (replicas != nullptr && replicas->size() > 1) {
-    // Non-reentrant Predict with a replica pool: waves of consecutive batch
-    // indices. Batch b is pinned to replica b % R, so wave members never
-    // share an instance and the non-reentrant body never runs concurrently
-    // on one model.
-    const size_t width = static_cast<size_t>(replicas->size());
-    for (size_t base = 0; base < group->size(); base += width) {
-      const size_t end = std::min(group->size(), base + width);
-      std::vector<std::function<void()>> wave;
-      wave.reserve(end - base);
-      for (size_t i = base; i < end; ++i) {
-        ReadyBatch& rb = (*group)[i];
-        wave.push_back([this, &rb, master, replicas] {
-          RunOneBatch(&rb, replicas->MethodForBatch(rb.index), master);
-        });
-      }
-      parallel::RunTaskGroup(wave);
-    }
   } else {
-    // Non-reentrant and not clonable (or replicas disabled): one at a time.
-    for (ReadyBatch& rb : *group) RunOneBatch(&rb, master, master);
+    // Non-reentrant: one at a time, in collection order.
+    for (ReadyBatch& rb : *group) RunOneBatch(&rb, method);
   }
 }
 
@@ -692,17 +638,15 @@ void InferenceEngine::DispatcherLoop() {
     stats_.inflight_batches = static_cast<int64_t>(group.size());
     const int64_t deadline_hits = (deadline_due && !drain_needed) ? 1 : 0;
     // Capture the served instance while still under mu_: SwapWeights flips
-    // method_/replicas_ only while !executing_, so these stay valid for the
-    // whole group, and the execution path below never reads the guarded
-    // fields unlocked.
-    const core::Method* master = method_;
-    const ReplicaPool* replicas = replicas_.get();
+    // method_ only while !executing_, so it stays valid for the whole group,
+    // and the execution path below never reads the guarded field unlocked.
+    const core::Method* method = method_;
     // Collection retired queue entries: admit blocked producers, and arm the
     // watchdog's stuck-batch timer.
     space_cv_.NotifyAll();
     watchdog_cv_.NotifyAll();
     lock.Unlock();
-    ExecuteGroup(&group, master, replicas);
+    ExecuteGroup(&group, method);
     lock.Lock();
     // Count first, fulfil second, both under mu_: a caller that wakes on a
     // ready future (or returns from Drain) observes counters that already

@@ -103,14 +103,13 @@
 // throughput-vs-latency from these histograms.
 //
 // Hot-swap: SwapWeights(source) builds a warm standby — a CloneForServing
-// copy of `source` (and, for non-reentrant methods, a standby ReplicaPool
-// cloned from it) — entirely OUTSIDE the engine lock, then flips the engine
+// copy of `source` — entirely OUTSIDE the engine lock, then flips the engine
 // to it at a batch boundary: the swap waits until no group is executing, so
 // every batch (and therefore every request) is served entirely by the old
 // weights or entirely by the new ones, bit-exactly — never a mix. Queued
 // requests are never dropped by a swap; they simply execute on whichever
-// side of the flip their batch lands. The old method and pool are released
-// after the flip (also outside the lock). Counted in stats().weight_swaps.
+// side of the flip their batch lands. The old method is released after the
+// flip (also outside the lock). Counted in stats().weight_swaps.
 //
 // Determinism model (mirrors the ParallelTrainer contract):
 //   - Every request occupies a SLOT in a global sequence: slot r belongs to
@@ -121,7 +120,7 @@
 //     engine buffers a batch until all of its slots are present.
 //   - Batch b draws its sampling noise from an Rng seeded
 //     core::TaskSeed(options.seed, b): a private stream per batch,
-//     independent of execution interleaving, worker count, and replica slot.
+//     independent of execution interleaving and worker count.
 //   - A partial batch is padded to the fixed width by cycling its real
 //     scenes; padded rows are computed and discarded. Padding happens at a
 //     FLUSH POINT — a Drain, or a max_batch_delay_ms expiry — and the flush
@@ -135,16 +134,15 @@
 //     bytes are unchanged — each row's result depends only on its own scene,
 //     its row index, and its batch's noise stream, the same property padding
 //     has always relied on.
-//   - Reentrant methods execute ready batches concurrently on the shared
-//     master model. Non-reentrant methods (LBEBM: the Langevin sampler
-//     writes its model's gradient buffers) execute on a serve::ReplicaPool
-//     of private model copies, batch b pinned to replica b % R, in waves
-//     whose members never share a replica — concurrency without the data
-//     race, bit-identical to serialized execution because the replicas hold
-//     byte-identical parameters and every kernel is bit-deterministic for
-//     any thread count (see tensor/parallel.h). If the method cannot be
-//     cloned (Method::CloneForServing returns nullptr) or the pool is capped
-//     at one slot, batches run one at a time as before.
+//   - Ready batches execute concurrently on the one served instance —
+//     every built-in method is reentrant, LBEBM included (its Langevin
+//     sampler differentiates detached parameter copies and writes no shared
+//     gradient buffer). Concurrent execution is bit-identical to serialized
+//     execution because each batch owns its noise stream and every kernel
+//     is bit-deterministic for any thread count (see tensor/parallel.h). A
+//     method reporting Method::reentrant_predict() == false (the fault
+//     injector, which pins a fault to a batch index) runs one batch at a
+//     time, in collection order.
 //
 // Encoder caching: when the served method supports the encode/decode split
 // (core::Method::predict_encode_width() > 0) and the cache is enabled
@@ -158,9 +156,8 @@
 // bytes are IDENTICAL with the cache on or off — the cache stores exact
 // encoder outputs keyed by exact encoder inputs, and every kernel is
 // bit-deterministic (see serve/encode_cache.h for the correctness model).
-// One cache is shared by the master and all replica clones (their weights
-// are byte-identical). The cache invalidates when the served master's
-// weights_version moves (an in-place Train) and at every SwapWeights flip.
+// The cache invalidates when the served method's weights_version moves (an
+// in-place Train) and at every SwapWeights flip.
 // Methods without the split (e.g. fault-injection wrappers) serve through
 // the combined Predict, cache or no cache.
 //
@@ -188,7 +185,6 @@
 #include "serve/encode_cache.h"
 #include "serve/errors.h"
 #include "serve/latency_histogram.h"
-#include "serve/replica_pool.h"
 #include "support/sync.h"
 #include "support/thread_annotations.h"
 
@@ -226,10 +222,6 @@ struct InferenceEngineOptions {
   /// then wait for Drain, which keeps batch composition independent of
   /// timing (the determinism-test configuration).
   int max_batch_delay_ms = 0;
-  /// Replica slots for non-reentrant methods (see serve::ReplicaPool).
-  /// 0 = auto: the training-worker count. 1 = no copies, serialize batches.
-  /// Ignored for reentrant methods, which share the master safely.
-  int num_replicas = 0;
   /// Admission bound on the pending-request queue. 0 (default) = unbounded.
   /// On overflow, `overflow_policy` decides between shedding and blocking.
   int max_queued_requests = 0;
@@ -299,11 +291,10 @@ struct InferenceEngineStats {
   LatencyHistogram queue_wait;
   /// Per executed batch: MakeBatch + Predict + per-row slicing.
   LatencyHistogram batch_exec;
-  /// Execution-plan telemetry summed over the served method and its replica
-  /// clones (each owns a private plan cache; see tensor/plan.h). After a
-  /// SwapWeights the counters restart from the standby's empty caches —
-  /// plan hits/misses describe the currently served instance, not the
-  /// engine's lifetime.
+  /// Execution-plan telemetry of the served method's plan cache (see
+  /// tensor/plan.h). After a SwapWeights the counters restart from the
+  /// standby's empty cache — plan hits/misses describe the currently served
+  /// instance, not the engine's lifetime.
   plan::CacheStats plan;
   /// Encoder-cache telemetry (all zeros when the cache is disabled or the
   /// method lacks the encode/decode split). Unlike `plan`, these counters
@@ -384,8 +375,7 @@ class InferenceEngine {
   void Shutdown() ADAPTRAJ_EXCLUDES(mu_);
 
   /// Atomically replaces the served weights with a warm-standby clone of
-  /// `source` (source.CloneForServing(); for non-reentrant methods a fresh
-  /// ReplicaPool is cloned from the standby too). Standby construction runs
+  /// `source` (source.CloneForServing()). Standby construction runs
   /// outside the engine lock; the flip happens at a batch boundary, so every
   /// request is served entirely by the old weights or entirely by the new
   /// ones and none is dropped. Blocks until the flip lands (bounded by the
@@ -406,10 +396,6 @@ class InferenceEngine {
   const core::Method& method() const ADAPTRAJ_NO_THREAD_SAFETY_ANALYSIS {
     return *method_;
   }
-  /// Concurrency slots for non-reentrant methods: the replica-pool size, or
-  /// 1 when batches are serialized. Reentrant methods report 1 (they share
-  /// the master without a pool).
-  int num_replica_slots() const ADAPTRAJ_EXCLUDES(mu_);
 
  private:
   struct PendingRequest {
@@ -470,37 +456,26 @@ class InferenceEngine {
   /// Executes a collected group on the worker pool, filling each batch's
   /// results or error. Runs on the dispatcher with mu_ released; the
   /// dispatcher then updates stats and fulfills the promises under mu_.
-  /// `master`/`replicas` are the served instance captured under mu_ at the
-  /// batch boundary — passing them (rather than re-reading method_ /
-  /// replicas_ unlocked) makes the SwapWeights flip protocol visible to the
-  /// thread-safety analysis instead of relying on it implicitly.
-  void ExecuteGroup(std::vector<ReadyBatch>* group, const core::Method* master,
-                    const ReplicaPool* replicas) const;
-  /// `master` is the served master (for weights_version); `method` the
-  /// instance this batch runs on (a replica, or the master itself).
-  void RunOneBatch(ReadyBatch* rb, const core::Method* method,
-                   const core::Method* master) const;
+  /// `method` is the served instance captured under mu_ at the batch
+  /// boundary — passing it (rather than re-reading method_ unlocked) makes
+  /// the SwapWeights flip protocol visible to the thread-safety analysis
+  /// instead of relying on it implicitly.
+  void ExecuteGroup(std::vector<ReadyBatch>* group, const core::Method* method) const;
+  void RunOneBatch(ReadyBatch* rb, const core::Method* method) const;
   /// Predict with the encoder cache in front of the Encode half: gathers
   /// cached rows, encodes only unseen rows (in a sub-batch copied out of
   /// `batch` at its neighbor-slot width), and decodes the full batch. Falls
   /// back to the combined Predict when the cache is off.
   Tensor PredictThroughCache(const data::Batch& batch, const core::Method* method,
-                             const core::Method* master, Rng* rng) const;
-  /// Builds the replica pool an engine over `method` needs (null when the
-  /// method is reentrant or pooling is disabled/impossible).
-  std::unique_ptr<ReplicaPool> MakeReplicaPool(const core::Method* method) const;
+                             Rng* rng) const;
 
-  /// The served master. Flipped by SwapWeights under mu_ at a batch
+  /// The served method. Flipped by SwapWeights under mu_ at a batch
   /// boundary; the execution path reads a copy captured under mu_ (see
   /// ExecuteGroup), never this field directly.
   const core::Method* method_ ADAPTRAJ_GUARDED_BY(mu_);
   std::unique_ptr<core::Method> owned_method_ ADAPTRAJ_GUARDED_BY(mu_);
   InferenceEngineOptions options_;
-  /// Private model copies for non-reentrant methods; null when the master is
-  /// shared (reentrant) or serialization is requested (num_replicas == 1).
-  std::unique_ptr<ReplicaPool> replicas_ ADAPTRAJ_GUARDED_BY(mu_);
-  /// Cross-request encoder cache, shared by the master and every replica
-  /// (byte-identical weights). Null when disabled or unsupported by the
+  /// Cross-request encoder cache. Null when disabled or unsupported by the
   /// method. The POINTER is set once in the constructor before the service
   /// threads start and never reassigned, so it is readable without mu_; the
   /// pointed-to cache is internally mutex-guarded — safe from concurrent

@@ -1078,7 +1078,8 @@ Tensor MaxAxis(const Tensor& a, int axis, bool keepdim) {
 Tensor Softmax(const Tensor& a) {
   ADAPTRAJ_CHECK_MSG(a.dim() >= 1, "Softmax on scalar-rank tensor");
   const int64_t cols = a.shape().back();
-  const int64_t rows = a.size() / cols;
+  // A zero-width last axis has no rows to normalize: the result is empty.
+  const int64_t rows = cols == 0 ? 0 : a.size() / cols;
   bool track = a.needs_grad();
   Impl ia = a.impl();
   Tensor out = MakeOutput(
@@ -1112,7 +1113,8 @@ Tensor Softmax(const Tensor& a) {
 Tensor LogSoftmax(const Tensor& a) {
   ADAPTRAJ_CHECK_MSG(a.dim() >= 1, "LogSoftmax on scalar-rank tensor");
   const int64_t cols = a.shape().back();
-  const int64_t rows = a.size() / cols;
+  // A zero-width last axis has no rows to normalize: the result is empty.
+  const int64_t rows = cols == 0 ? 0 : a.size() / cols;
   bool track = a.needs_grad();
   Impl ia = a.impl();
   Tensor out = MakeOutput(

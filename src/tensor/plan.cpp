@@ -106,7 +106,11 @@ Tensor CompiledPlan::Execute(const std::vector<const Tensor*>& inputs,
   auto rimpl = std::make_shared<TensorImpl>();
   rimpl->shape = result_shape;
   rimpl->data = internal::AcquireBuffer(NumElements(result_shape));
-  std::vector<float*> p(slots.size(), nullptr);
+  // Per-thread slot table, as in Forward below: a replay makes no allocation
+  // here once the table has grown to the largest plan this thread replays.
+  // Replays never nest on one thread (steps run kernels only).
+  thread_local std::vector<float*> p;
+  p.assign(slots.size(), nullptr);
   for (size_t i = 0; i < slots.size(); ++i) {
     const SlotDef& s = slots[i];
     switch (s.kind) {

@@ -95,7 +95,7 @@ TEST(InferenceModeTest, LbebmPredictUsesGradIslandButReturnsNoGradResult) {
   EXPECT_GT(internal::GradNodesCreated(), before);
   // ...but the prediction itself is a plain forward result.
   EXPECT_FALSE(pred.needs_grad());
-  EXPECT_FALSE(method.reentrant_predict());
+  EXPECT_TRUE(method.reentrant_predict());
 }
 
 TEST(InferenceModeTest, PredictBitIdenticalToGradModeAllMethods) {

@@ -4,6 +4,9 @@
 #include "models/backbone.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "models/pecnet.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 
 namespace adaptraj {
 namespace models {
@@ -280,6 +284,85 @@ TEST(LbebmTest, LangevinDoesNotLeakGradients) {
     for (int64_t i = 0; i < g.size(); ++i) {
       ASSERT_EQ(g.flat(i), 0.0f) << "Langevin sampling leaked parameter gradients";
     }
+  }
+}
+
+/// Every parameter's gradient buffer, copied (empty while never accumulated).
+std::vector<std::vector<float>> GradBuffers(const nn::Module& model) {
+  std::vector<std::vector<float>> out;
+  for (const Tensor& p : model.Parameters()) {
+    const auto& g = p.impl()->grad;
+    out.emplace_back(g.data(), g.data() + g.size());
+  }
+  return out;
+}
+
+TEST(LbebmTest, SampledPredictLeavesParameterGradientsUntouched) {
+  Rng rng(15);
+  data::SequenceConfig seq;
+  BackboneConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.hidden_dim = 16;
+  cfg.social_dim = 16;
+  cfg.latent_dim = 4;
+  LbebmBackbone model(cfg, &rng);
+  data::Batch batch = TestBatch(4, seq);
+
+  // Never-accumulated buffers stay empty.
+  Rng sampler(9);
+  (void)model.Predict(batch, model.Encode(batch), Tensor(), &sampler, /*sample=*/true);
+  for (const auto& g : GradBuffers(model)) {
+    EXPECT_TRUE(g.empty()) << "sampling allocated a parameter gradient";
+  }
+  // Accumulated buffers keep their bytes: no write, no wipe.
+  model.Loss(batch, model.Encode(batch), Tensor(), &sampler).Backward();
+  const auto before = GradBuffers(model);
+  (void)model.Predict(batch, model.Encode(batch), Tensor(), &sampler, /*sample=*/true);
+  EXPECT_EQ(GradBuffers(model), before) << "sampling changed a parameter gradient";
+}
+
+TEST(LbebmTest, ConcurrentSampledPredictsOnOneInstanceMatchSerial) {
+  Rng rng(16);
+  data::SequenceConfig seq;
+  BackboneConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.hidden_dim = 16;
+  cfg.social_dim = 16;
+  cfg.latent_dim = 4;
+  LbebmBackbone model(cfg, &rng);
+  model.eval();
+  data::Batch batch = TestBatch(4, seq);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  // Call (t, r) draws from its own seed, as the engine's batches do.
+  auto predict = [&](int t, int r) {
+    NoGradGuard no_grad;
+    Rng noise(static_cast<uint64_t>(100 + kRounds * t + r));
+    Tensor out = model.Predict(batch, model.Encode(batch), Tensor(), &noise, true);
+    return std::vector<float>(out.data(), out.data() + out.size());
+  };
+  std::vector<std::vector<float>> serial;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) serial.push_back(predict(t, r));
+  }
+
+  parallel::ConfigureTrainWorkers(kThreads);
+  std::vector<std::vector<float>> concurrent(serial.size());
+  std::vector<std::function<void()>> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    tasks.push_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) concurrent[kRounds * t + r] = predict(t, r);
+    });
+  }
+  parallel::RunTaskGroup(tasks);
+  parallel::ConfigureTrainWorkers(1);
+  ASSERT_EQ(concurrent.size(), serial.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(concurrent[i].size(), serial[i].size()) << "call " << i;
+    EXPECT_EQ(std::memcmp(concurrent[i].data(), serial[i].data(),
+                          serial[i].size() * sizeof(float)),
+              0)
+        << "call " << i;
   }
 }
 

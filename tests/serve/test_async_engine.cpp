@@ -3,10 +3,9 @@
 // thread), lossless error delivery (Predict exceptions reach exactly the
 // failed batch's futures; destruction fails — not breaks — pending
 // promises), the max_batch_delay_ms deadline flush, multi-producer
-// bit-identity, the replica pool for non-reentrant methods, and the
-// per-request result-storage audit.
+// bit-identity, concurrent LBEBM batches on one instance, serving copies,
+// and the per-request result-storage audit.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -15,6 +14,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,8 +24,8 @@
 #include "core/baselines.h"
 #include "core/parallel_trainer.h"
 #include "data/multi_domain.h"
+#include "serve/fault_injection.h"
 #include "serve/inference_engine.h"
-#include "serve/replica_pool.h"
 #include "tensor/parallel.h"
 
 namespace adaptraj {
@@ -100,44 +100,33 @@ void ExpectAllEqual(const std::vector<std::vector<float>>& a,
 
 // --- Instrumented mock method ------------------------------------------------
 
-/// Shared across a mock and its serving clones: concurrency accounting, the
-/// block/release latch, and the executing-thread record.
+/// Concurrency accounting, the block/release latch, and the
+/// executing-thread record of a MockMethod.
 struct MockState {
   std::mutex mu;
   std::condition_variable cv;
-  int active = 0;           // Predict calls currently in flight (all instances)
+  int active = 0;           // Predict calls currently in flight
   int entered = 0;          // Predict calls ever started (monotonic)
   int max_concurrent = 0;
   bool released = true;     // block_until_released waits for this
-  int instance_overlap = 0; // same-instance concurrent entries (must stay 0)
   std::set<std::thread::id> predict_threads;
 };
 
 /// Configurable Method: returns obs_flat (so results are deterministic per
-/// scene), can throw on poisoned scenes, block until released, rendezvous
-/// with a concurrent peer, and report itself non-reentrant/clonable.
+/// scene) or forwards to an `inner` method, can throw on poisoned scenes,
+/// block until released, and rendezvous with a concurrent peer.
 class MockMethod : public core::Method {
  public:
-  MockMethod(std::shared_ptr<MockState> state, bool reentrant, bool clonable)
-      : state_(std::move(state)), reentrant_(reentrant), clonable_(clonable) {}
+  explicit MockMethod(std::shared_ptr<MockState> state,
+                      const core::Method* inner = nullptr)
+      : state_(std::move(state)), inner_(inner) {}
 
   std::string name() const override { return "mock"; }
   void Train(const data::DomainGeneralizationData&, const core::TrainConfig&) override {}
-  bool reentrant_predict() const override { return reentrant_; }
 
-  std::unique_ptr<core::Method> CloneForServing() const override {
-    if (!clonable_) return nullptr;
-    auto clone = std::make_unique<MockMethod>(state_, reentrant_, clonable_);
-    clone->wait_for_peer_ = wait_for_peer_;
-    clone->block_until_released_ = block_until_released_;
-    return clone;
-  }
-
-  Tensor Predict(const data::Batch& batch, Rng*, bool) const override {
-    const int self_entries = ++active_on_this_instance_;
+  Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override {
     {
       std::unique_lock<std::mutex> lock(state_->mu);
-      if (self_entries > 1) ++state_->instance_overlap;
       state_->predict_threads.insert(std::this_thread::get_id());
       ++state_->active;
       ++state_->entered;
@@ -157,7 +146,7 @@ class MockMethod : public core::Method {
       }
       --state_->active;
     }
-    --active_on_this_instance_;
+    if (inner_ != nullptr) return inner_->Predict(batch, rng, sample);
     const float* row = batch.obs_flat.data();
     const int64_t n = batch.obs_flat.size();
     for (int64_t i = 0; i < n; ++i) {
@@ -173,11 +162,9 @@ class MockMethod : public core::Method {
 
  private:
   std::shared_ptr<MockState> state_;
-  bool reentrant_;
-  bool clonable_;
+  const core::Method* inner_;
   bool wait_for_peer_ = false;
   bool block_until_released_ = false;
-  mutable std::atomic<int> active_on_this_instance_{0};
 };
 
 /// A scene whose first observed displacement is absurd; MockMethod throws on
@@ -192,7 +179,7 @@ data::TrajectorySequence PoisonedScene() {
 
 TEST(AsyncEngineErrorTest, PredictExceptionReachesExactlyTheFailedBatch) {
   auto state = std::make_shared<MockState>();
-  MockMethod method(state, /*reentrant=*/true, /*clonable=*/false);
+  MockMethod method(state);
   auto options = Options(/*batch_size=*/4);
 
   InferenceEngine engine(&method, options);
@@ -238,7 +225,7 @@ TEST(AsyncEngineErrorTest, DestructionFailsPendingFuturesDescriptively) {
   auto scenes = Scenes(2);
   std::future<Tensor> orphan;
   {
-    MockMethod method(state, /*reentrant=*/true, /*clonable=*/false);
+    MockMethod method(state);
     InferenceEngine engine(&method, Options(/*batch_size=*/8));
     orphan = engine.Submit(scenes[0]);  // underfull batch, never drained
   }
@@ -318,7 +305,7 @@ TEST(AsyncEngineErrorTest, PendingIdStrandedByDeadlineFlushRejectedViaFuture) {
 
 TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
   auto state = std::make_shared<MockState>();
-  MockMethod method(state, /*reentrant=*/true, /*clonable=*/false);
+  MockMethod method(state);
   method.set_block_until_released(true);
   {
     std::lock_guard<std::mutex> lock(state->mu);
@@ -405,9 +392,9 @@ TEST(AsyncEngineTest, MultiProducerBitIdenticalAcrossProducersAndWorkers) {
   parallel::ConfigureTrainWorkers(1);
 }
 
-// --- Replica pool ------------------------------------------------------------
+// --- Serving copies and concurrent LBEBM -------------------------------------
 
-TEST(ReplicaPoolTest, ClonesMatchMasterAndAreIndependentStorage) {
+TEST(CloneForServingTest, ClonesMatchOriginalAndAreIndependentStorage) {
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   std::unique_ptr<core::Method> clone = method.CloneForServing();
   ASSERT_NE(clone, nullptr);
@@ -415,77 +402,41 @@ TEST(ReplicaPoolTest, ClonesMatchMasterAndAreIndependentStorage) {
   ASSERT_NE(vanilla_clone, nullptr);
   EXPECT_EQ(vanilla_clone->backbone().ParameterSnapshot(),
             method.backbone().ParameterSnapshot());
-  // Distinct storage: perturbing the clone leaves the master untouched.
+  // Distinct storage: perturbing the clone leaves the original untouched.
   auto before = method.backbone().ParameterSnapshot();
   vanilla_clone->backbone().Parameters()[0].data()[0] += 1.0f;
   EXPECT_EQ(method.backbone().ParameterSnapshot(), before);
   EXPECT_NE(vanilla_clone->backbone().ParameterSnapshot(), before);
 }
 
-TEST(ReplicaPoolTest, PinsBatchesToSlotsAndCapsAtMasterWhenNotClonable) {
+TEST(AsyncEngineTest, LbebmServedConcurrentlyOnOneInstanceBitIdenticalToSerial) {
   core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  ReplicaPool pool(&method, 4);
-  EXPECT_EQ(pool.size(), 4);
-  EXPECT_EQ(pool.method(0), &method);
-  EXPECT_EQ(pool.MethodForBatch(0), &method);
-  EXPECT_EQ(pool.MethodForBatch(5), pool.method(1));
-  EXPECT_EQ(pool.MethodForBatch(7), pool.method(3));
-
-  auto state = std::make_shared<MockState>();
-  MockMethod unclonable(state, /*reentrant=*/false, /*clonable=*/false);
-  ReplicaPool capped(&unclonable, 4);
-  EXPECT_EQ(capped.size(), 1);
-}
-
-TEST(AsyncEngineReplicaTest, NonReentrantBatchesRunConcurrentlyOnClones) {
-  parallel::ConfigureTrainWorkers(2);
-  auto state = std::make_shared<MockState>();
-  MockMethod method(state, /*reentrant=*/false, /*clonable=*/true);
-  method.set_wait_for_peer(true);
-  auto options = Options(/*batch_size=*/2);
-  options.num_replicas = 2;
-  options.max_buffered_batches = 2;
-
-  InferenceEngine engine(&method, options);
-  EXPECT_EQ(engine.num_replica_slots(), 2);
-  auto scenes = Scenes(4);  // two full batches -> one wave of two
-  std::vector<std::future<Tensor>> futures;
-  for (const auto& s : scenes) futures.push_back(engine.Submit(s));
-  engine.Drain();
-  for (auto& f : futures) EXPECT_EQ(f.get().shape()[0], 1);
-
-  std::lock_guard<std::mutex> lock(state->mu);
-  EXPECT_GE(state->max_concurrent, 2)
-      << "non-reentrant batches were serialized despite the replica pool";
-  EXPECT_EQ(state->instance_overlap, 0)
-      << "one replica instance ran two batches concurrently";
-  parallel::ConfigureTrainWorkers(1);
-}
-
-TEST(AsyncEngineReplicaTest, LbebmConcurrentReplicasBitIdenticalToSerialized) {
-  core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  ASSERT_FALSE(method.reentrant_predict());
+  ASSERT_TRUE(method.reentrant_predict());
   auto scenes = Scenes(10);  // 2 full batches of 4 + padded tail
   auto options = Options(/*batch_size=*/4);
 
-  // Serialized: no replicas, one batch at a time (the PR-4 schedule).
-  auto serial_options = options;
-  serial_options.num_replicas = 1;
-  auto serialized = Serve(method, scenes, serial_options);
+  // Serial reference: a fault injector with an empty schedule reports
+  // itself non-reentrant, so the engine runs its batches one at a time.
+  FaultInjectingMethod serial(&method, FaultSchedule());
+  ASSERT_FALSE(serial.reentrant_predict());
+  const auto reference = Serve(serial, scenes, options);
 
-  // Concurrent: >= 2 replica slots on >= 2 workers.
-  parallel::ConfigureTrainWorkers(4);
-  auto replica_options = options;
-  replica_options.num_replicas = 3;
-  InferenceEngine engine(&method, replica_options);
-  EXPECT_EQ(engine.num_replica_slots(), 3);
-  std::vector<std::future<Tensor>> futures;
-  for (const auto& s : scenes) futures.push_back(engine.Submit(s));
-  engine.Drain();
-  auto concurrent = Collect(&futures);
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("train workers " + std::to_string(workers));
+    parallel::ConfigureTrainWorkers(workers);
+    ExpectAllEqual(reference, Serve(method, scenes, options));
+  }
+
+  // The two full batches of one group overlap on the one LBEBM instance:
+  // the probe's first Predict waits for the second to start.
+  parallel::ConfigureTrainWorkers(2);
+  auto state = std::make_shared<MockState>();
+  MockMethod probe(state, &method);
+  probe.set_wait_for_peer(true);
+  ExpectAllEqual(reference, Serve(probe, scenes, options));
   parallel::ConfigureTrainWorkers(1);
-
-  ExpectAllEqual(serialized, concurrent);
+  std::lock_guard<std::mutex> lock(state->mu);
+  EXPECT_GE(state->max_concurrent, 2) << "LBEBM batches were serialized";
 }
 
 // --- Result storage audit ----------------------------------------------------

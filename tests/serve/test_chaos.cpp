@@ -2,7 +2,8 @@
 // invariants under test are the robustness acceptance bar — non-faulted
 // requests stay byte-identical to a fault-free run, faulted/expired/stopped
 // requests fail with the right typed error, and no future is ever broken —
-// under concurrent producers, replica pools, and destruction races. CI
+// under concurrent producers, concurrent batches on one instance, and
+// destruction races. CI
 // loops this binary under TSan and ASan (the stress-serve job).
 
 #include <atomic>
@@ -157,9 +158,8 @@ TEST(ChaosTest, ThrowFaultsUnderFourProducersLeaveNonFaultedBytesIntact) {
   auto options = Options(batch);
   const auto reference = FaultFreeReference(inner, scenes, options);
 
-  // force_serialized (the default) makes the wrapper non-reentrant and
-  // unclonable, so the engine serializes batches and call index == batch
-  // index: batches 2 and 5 fault, deterministically.
+  // force_serialized (the default) makes the wrapper non-reentrant, so the
+  // engine serializes batches and call index == batch index: batches 2 and 5 fault, deterministically.
   FaultSchedule schedule;
   schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});
   schedule.emplace(5, FaultSpec{FaultKind::kThrow, 0});
@@ -282,39 +282,43 @@ TEST(ChaosTest, NaNFaultPoisonsOnlyItsOwnBatch) {
   EXPECT_EQ(engine.stats().failed_batches, 0);
 }
 
-// --- Replica pool under faults -----------------------------------------------
+// --- A fault on a concurrently served instance ------------------------------
 
-TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
+TEST(ChaosTest, FaultOnASharedInstanceStaysInItsBatch) {
   parallel::ConfigureTrainWorkers(2);
   core::VanillaMethod inner(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  ASSERT_FALSE(inner.reentrant_predict());
-  // force_serialized=false: the wrapper clones (sharing the fault counter),
-  // so the engine builds a replica pool OVER the fault injector. With 6
-  // batches on 2 replicas, the faulted replica must serve later waves too.
+  // force_serialized=false: the wrapper reports the inner method's
+  // reentrancy, so the engine runs the 6 batches of one group concurrently
+  // on the one LBEBM instance and the batch that draws call index 2 throws.
   FaultSchedule schedule;
-  schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});  // 3rd Predict call, mid-wave
+  schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});  // 3rd Predict call, mid-group
   FaultInjectingMethod chaotic(&inner, schedule, /*force_serialized=*/false);
+  ASSERT_TRUE(chaotic.reentrant_predict());
 
   const size_t n = 12;
-  const int batch = 2;  // 6 batches -> 3 waves of 2 on 2 replicas
+  const int batch = 2;  // 6 batches in one group
   auto scenes = Scenes(n);
   auto options = Options(batch);
-  options.num_replicas = 2;
-  options.max_buffered_batches = 6;  // one group: all 6 batches, 3 waves
+  options.max_buffered_batches = 6;
+  const auto reference = FaultFreeReference(inner, scenes, options);
 
   InferenceEngine engine(&chaotic, options);
-  EXPECT_EQ(engine.num_replica_slots(), 2);
   std::vector<std::future<Tensor>> futures;
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
 
-  // Exactly one batch faulted (which one depends on the wave's internal
-  // race for call indices — irrelevant: the invariant is containment).
+  // Exactly one batch faulted (which one depends on the group's internal
+  // race for call indices — irrelevant: the invariant is containment), and
+  // every other row matches a fault-free run bit for bit.
   std::vector<size_t> failed_requests;
   for (size_t i = 0; i < n; ++i) {
     try {
       Tensor t = futures[i].get();
-      EXPECT_EQ(t.shape()[0], 1);
+      ASSERT_EQ(t.size(), static_cast<int64_t>(reference[i].size()));
+      EXPECT_EQ(std::memcmp(t.data(), reference[i].data(),
+                            reference[i].size() * sizeof(float)),
+                0)
+          << "request " << i;
     } catch (const FaultInjectedError&) {
       failed_requests.push_back(i);
     } catch (const std::future_error&) {
@@ -331,9 +335,6 @@ TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.batches, 6);
   EXPECT_EQ(stats.failed_batches, 1);
-  // The replica that threw served at least one later batch: with batch b
-  // pinned to replica b % 2 and 6 batches, every replica serves 3 batches —
-  // all non-faulted ones succeeded above, so reuse after the fault is clean.
   parallel::ConfigureTrainWorkers(1);
 }
 

@@ -1,9 +1,9 @@
 // Tests for serve::InferenceEngine: batching semantics (fixed width, padded
 // tails, deterministic request->slot order), correctness against the
 // reference batched Predict, byte-identical results across worker counts and
-// submission interleavings (including explicit out-of-order ids), and the
-// non-reentrant (LBEBM) path. These tests predate the async rewrite and pin
-// the PR-4 synchronous semantics the async engine must reproduce bit-for-bit
+// submission interleavings (including explicit out-of-order ids), and
+// malformed-request rejection. These tests predate the async rewrite and pin
+// the synchronous semantics the async engine must reproduce bit-for-bit
 // (same slot->batch mapping, per-batch noise streams, padded-tail
 // composition). Async-specific behaviour lives in test_async_engine.cpp.
 
@@ -234,21 +234,6 @@ TEST(InferenceEngineTest, RepeatRunsAreByteIdentical) {
   auto scenes = Scenes(10);
   auto options = Options(/*batch_size=*/4);
   ExpectAllEqual(Serve(method, scenes, options), Serve(method, scenes, options));
-}
-
-// --- Non-reentrant methods ---------------------------------------------------
-
-TEST(InferenceEngineTest, LbebmServesSeriallyAndDeterministically) {
-  core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  ASSERT_FALSE(method.reentrant_predict());
-  auto scenes = Scenes(6);
-  auto options = Options(/*batch_size=*/4);
-
-  parallel::ConfigureTrainWorkers(4);
-  auto w4 = Serve(method, scenes, options);
-  parallel::ConfigureTrainWorkers(1);
-  auto w1 = Serve(method, scenes, options);
-  ExpectAllEqual(w1, w4);
 }
 
 // --- Malformed requests -------------------------------------------------------

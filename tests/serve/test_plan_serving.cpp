@@ -1,6 +1,6 @@
 // Execution plans under the serving engine (tensor/plan.h + tensor/plan
 // telemetry in serve::InferenceEngineStats): planned serving is bit-identical
-// to plans-off serving, engine stats aggregate the per-replica plan caches,
+// to plans-off serving, engine stats report the served instance's plan cache,
 // and SwapWeights under planned traffic serves the new weights from its
 // first post-flip batch — a swap can never replay a plan holding the
 // pre-swap weights, because the standby clone starts with an empty cache.
@@ -138,25 +138,27 @@ TEST_F(PlanServingTest, EngineStatsReportPlanTelemetry) {
   EXPECT_GT(stats.plan.arena_bytes, 0);
 }
 
-TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
-  // Non-reentrant LBEBM runs on a replica pool; each slot owns a plan cache
-  // whose Langevin abort registers once. The engine stats must sum them.
+TEST_F(PlanServingTest, EngineStatsReportTheOneServedInstance) {
+  // LBEBM's batches run concurrently on the one served instance. Its
+  // Langevin backward aborts the capture, which marks the key unplannable
+  // once; later and concurrent batches run eager.
   plan::SetMode(plan::Mode::kOn);
   parallel::ConfigureTrainWorkers(2);
   auto scenes = Scenes(8);
   core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  auto options = Options(/*batch_size=*/4);
-  options.num_replicas = 2;
-  InferenceEngine engine(&method, options);
-  ASSERT_EQ(engine.num_replica_slots(), 2);
+  InferenceEngine engine(&method, Options(/*batch_size=*/4));
   std::vector<std::future<Tensor>> futures;
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
   for (auto& f : futures) (void)f.get();
+  parallel::ConfigureTrainWorkers(1);
 
   InferenceEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plan.plans, 0);     // LBEBM is unplannable on every slot
-  EXPECT_EQ(stats.plan.aborted, 2);   // one abort per replica slot
+  EXPECT_EQ(stats.plan.plans, 0);    // LBEBM's sampled Predict is unplannable
+  EXPECT_EQ(stats.plan.aborted, 1);  // one abort on the one instance
+  const plan::CacheStats own = method.plan_stats();
+  EXPECT_EQ(stats.plan.aborted, own.aborted);
+  EXPECT_EQ(stats.plan.misses, own.misses);
 }
 
 TEST_F(PlanServingTest, SwapWeightsUnderPlannedServingServesNewWeights) {

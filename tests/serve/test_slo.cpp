@@ -531,14 +531,13 @@ TEST(SwapWeightsTest, ForcedFlipServesOldThenNewBitExactly) {
   for (size_t i = 4; i < 8; ++i) ExpectRowsEqual(ref_new[i], got[i], "post-swap row");
 }
 
-TEST(SwapWeightsTest, RebuildsTheReplicaPoolForNonReentrantMethods) {
+TEST(SwapWeightsTest, SwapsLbebmToOneConcurrentlyServedStandby) {
   parallel::ConfigureTrainWorkers(2);
   core::VanillaMethod old_weights(models::BackboneKind::kLbebm, TinyBackbone(), 5);
   core::VanillaMethod new_weights(models::BackboneKind::kLbebm, TinyBackbone(), 77);
-  ASSERT_FALSE(old_weights.reentrant_predict());
+  ASSERT_TRUE(old_weights.reentrant_predict());
   auto scenes = Scenes(8);
   auto options = Options(/*batch_size=*/2);
-  options.num_replicas = 2;
   // Slot-aligned reference: the engine under test serves 4 warm scenes
   // (batches 0-1) before the swap, so its post-swap scenes occupy batches
   // 2-5 — the reference must put the same scenes at the same slots, because
@@ -548,21 +547,25 @@ TEST(SwapWeightsTest, RebuildsTheReplicaPoolForNonReentrantMethods) {
   auto ref_new = Serve(new_weights, aligned, options);
 
   InferenceEngine engine(&old_weights, options);
-  EXPECT_EQ(engine.num_replica_slots(), 2);
+  EXPECT_EQ(&engine.method(), &old_weights);
   std::vector<std::future<Tensor>> warm;
   for (size_t i = 0; i < 4; ++i) warm.push_back(engine.Submit(scenes[i]));
   engine.Drain();
   engine.SwapWeights(new_weights);
-  EXPECT_EQ(engine.num_replica_slots(), 2) << "swap lost the replica pool";
+  // One served instance: the standby clone, neither original.
+  EXPECT_NE(&engine.method(), &old_weights);
+  EXPECT_NE(&engine.method(), &new_weights);
+  EXPECT_TRUE(engine.method().reentrant_predict());
   std::vector<std::future<Tensor>> futures;
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
   auto got = Collect(&futures);
-  // Post-swap batches execute on the standby pool's clones, bit-identical
+  // Post-swap batches execute concurrently on the standby, bit-identical
   // to a fresh engine over the new weights at the same slots.
   for (size_t i = 0; i < scenes.size(); ++i) {
-    ExpectRowsEqual(ref_new[i + 4], got[i], "post-swap replica row");
+    ExpectRowsEqual(ref_new[i + 4], got[i], "post-swap row");
   }
+  EXPECT_EQ(engine.stats().weight_swaps, 1);
   parallel::ConfigureTrainWorkers(1);
 }
 

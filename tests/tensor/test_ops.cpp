@@ -171,6 +171,18 @@ TEST(OpsTest, LogSoftmaxMatchesLogOfSoftmax) {
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(ls.flat(i), std::log(s.flat(i)), 1e-5);
 }
 
+TEST(OpsTest, SoftmaxAndLogSoftmaxOfZeroWidthAreEmpty) {
+  for (auto op : {&Softmax, &LogSoftmax}) {
+    Tensor x = Tensor::Zeros({3, 0}, /*requires_grad=*/true);
+    Tensor y = op(x);
+    EXPECT_EQ(y.shape(), (Shape{3, 0}));
+    EXPECT_EQ(y.size(), 0);
+    Sum(y).Backward();
+    EXPECT_EQ(x.grad().shape(), (Shape{3, 0}));
+    EXPECT_EQ(x.grad().size(), 0);
+  }
+}
+
 TEST(OpsTest, ConcatLastAxis) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   Tensor b = Tensor::FromVector({2, 1}, {9, 10});

@@ -13,6 +13,12 @@ benchmarks: a uniformly slower (or faster) machine shifts every benchmark by
 the same factor and cancels out, while a kernel that regressed relative to
 the rest of the suite sticks out.
 
+Each row is printed in its own google-benchmark time_unit (ns, us, ms, s).
+A TRACKED benchmark whose unit differs between the baseline and the new run
+is a FAILURE rather than a comparison: the raw ratio would be off by a power
+of 1000. Rows whose units differ are also left out of the machine-speed
+scale.
+
 A TRACKED benchmark present in the baseline but absent from the new run is a
 FAILURE: a silently dropped gate (renamed bench, crashed fixture, stale
 filter) would otherwise look exactly like a pass forever. A tracked
@@ -145,20 +151,34 @@ def load_doc(path):
     return doc
 
 
-def load_times(path):
-    """Maps benchmark name -> cpu_time ns. When a run used
-    --benchmark_repetitions, the median aggregate overrides the per-repetition
-    samples (that's the noise-robust value CI should gate on)."""
-    doc = load_doc(path)
+def times_from_doc(doc):
+    """Maps benchmark name -> (cpu_time, time_unit) for a validated BENCH
+    document. When a run used --benchmark_repetitions, the median aggregate
+    overrides the per-repetition samples (that's the noise-robust value CI
+    should gate on). A row without a time_unit is in google-benchmark's
+    default, ns."""
     times = {}
     for bench in doc["benchmarks"]:
         if bench.get("run_type", "iteration") == "iteration":
-            times.setdefault(bench["name"], float(bench["cpu_time"]))
+            times.setdefault(bench["name"], (float(bench["cpu_time"]),
+                                             bench.get("time_unit", "ns")))
     for bench in doc["benchmarks"]:
         if (bench.get("run_type") == "aggregate"
                 and bench.get("aggregate_name") == "median"):
-            times[bench["run_name"]] = float(bench["cpu_time"])
+            times[bench["run_name"]] = (float(bench["cpu_time"]),
+                                        bench.get("time_unit", "ns"))
     return times
+
+
+def load_times(path):
+    """times_from_doc of one BENCH JSON file."""
+    return times_from_doc(load_doc(path))
+
+
+def fmt_time(t):
+    """Whole units for large values, three significant digits for small ones
+    (an ms row reads "2.31 ms", not "2 ms")."""
+    return f"{t:.0f}" if abs(t) >= 100 else f"{t:.3g}"
 
 
 def is_tracked(name):
@@ -195,58 +215,82 @@ def main():
     except BenchFormatError as e:
         print(e, file=sys.stderr)
         return 1
+    return compare(base, new, args.threshold)
 
-    shared = [n for n in base if n in new and base[n] > 0]
+
+def compare(base, new, threshold, out=None, err=None):
+    """Gates `new` against `base` (both from times_from_doc) and prints the
+    report; returns the exit status (0 pass, 1 fail)."""
+    out = out or sys.stdout
+    err = err or sys.stderr
+    shared = [n for n in base if n in new and base[n][0] > 0
+              and base[n][1] == new[n][1]]
     if not shared:
-        print("No shared benchmarks between baseline and new run.", file=sys.stderr)
+        print("No shared benchmarks between baseline and new run.", file=err)
         return 1
     # Machine-speed normalization: the median ratio over the whole suite is
     # the best single estimate of "how much faster/slower is this machine".
-    scale = statistics.median(new[n] / base[n] for n in shared)
+    scale = statistics.median(new[n][0] / base[n][0] for n in shared)
     print(f"machine-speed scale (median new/baseline over {len(shared)} "
-          f"benchmarks): {scale:.2f}x\n")
+          f"benchmarks): {scale:.2f}x\n", file=out)
 
     failures = []
     missing = []
+    mismatched = []
     for name in sorted(base):
         if not is_tracked(name):
             continue
         if name not in new:
             missing.append(name)
             print(f"MISSING  {name}: tracked in the baseline but absent from "
-                  f"the new run (FAILING)")
+                  f"the new run (FAILING)", file=out)
             continue
-        raw = new[name] / base[name] if base[name] > 0 else float("inf")
+        (base_time, base_unit), (new_time, new_unit) = base[name], new[name]
+        if base_unit != new_unit:
+            mismatched.append((name, base_unit, new_unit))
+            print(f"UNITS    {name}: baseline in {base_unit}, new run in "
+                  f"{new_unit}; not compared (FAILING)", file=out)
+            continue
+        raw = new_time / base_time if base_time > 0 else float("inf")
         ratio = raw / scale
         status = "OK"
-        if ratio > 1.0 + args.threshold:
+        if ratio > 1.0 + threshold:
             status = "REGRESSED"
             failures.append((name, ratio))
-        print(f"{status:10s}{name}: {base[name]:.0f} -> {new[name]:.0f} ns "
-              f"({ratio:.2f}x baseline after scaling)")
+        print(f"{status:10s}{name}: {fmt_time(base_time)} -> "
+              f"{fmt_time(new_time)} {base_unit} ({ratio:.2f}x baseline "
+              f"after scaling)", file=out)
     for name in sorted(set(new) - set(base)):
         if is_tracked(name):
             print(f"WARNING  {name}: tracked but has no baseline entry — "
-                  f"skipped; regenerate BENCH_tensor_ops.json to gate it")
+                  f"skipped; regenerate BENCH_tensor_ops.json to gate it",
+                  file=out)
 
     failed = False
     if missing:
         print(f"\n{len(missing)} tracked benchmark(s) missing from the new run "
-              f"— a gate silently stopped running:", file=sys.stderr)
+              f"— a gate silently stopped running:", file=err)
         for name in missing:
             print(f"  {name}: present in the baseline, absent from the new "
-                  f"JSON (renamed? filtered out? fixture crashed?)",
-                  file=sys.stderr)
+                  f"JSON (renamed? filtered out? fixture crashed?)", file=err)
+        failed = True
+    if mismatched:
+        print(f"\n{len(mismatched)} tracked benchmark(s) changed time_unit — "
+              f"regenerate the baseline or fix the new run's Unit():",
+              file=err)
+        for name, base_unit, new_unit in mismatched:
+            print(f"  {name}: {base_unit} in the baseline, {new_unit} in the "
+                  f"new run", file=err)
         failed = True
     if failures:
         print(f"\n{len(failures)} tracked benchmark(s) regressed by more than "
-              f"{args.threshold:.0%}:", file=sys.stderr)
+              f"{threshold:.0%}:", file=err)
         for name, ratio in failures:
-            print(f"  {name}: {ratio:.2f}x baseline cpu_time", file=sys.stderr)
+            print(f"  {name}: {ratio:.2f}x baseline cpu_time", file=err)
         failed = True
     if failed:
         return 1
-    print("\nAll tracked benchmarks present and within threshold.")
+    print("\nAll tracked benchmarks present and within threshold.", file=out)
     return 0
 
 
