@@ -560,8 +560,8 @@ void BM_TrainEpoch_Vanilla(benchmark::State& state) {
 // fixture forces tape recording so the EXECUTION-MODE delta is measured
 // inside one binary at the table-8 batch shape (the 32-scene probe batch).
 // Note what this pair does and does not measure: both fixtures run on the
-// PR's optimized substrate (fused Affine, bucketed pool, template
-// ParallelFor), where Predict is ~92% kernel time — so the mode delta alone
+// optimized substrate (fused Affine, bucketed pool, kernels run on their
+// calling thread), where Predict is ~92% kernel time — so the mode delta alone
 // is ~1.2-1.35x CPU (load-dependent). The full Predict improvement of the
 // inference-runtime work vs the pre-change grad path was 1.40 -> 0.62-0.66
 // ms CPU (~2.1x) at this shape; the substrate share of that also speeds
@@ -1009,10 +1009,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   // Buffer-pool telemetry over the whole run: reuse rate is the fraction of
   // op-output allocations served from recycled capacity. Stats are per
-  // thread and this reads the MAIN thread's pool only: kernel-pool workers
-  // write through raw pointers and never allocate, but training-pool
-  // workers (BM_TrainEpoch_* with Arg > 1) run whole micro-batch graphs and
-  // allocate from their own thread-local pools, which this summary excludes.
+  // thread and this reads the MAIN thread's pool only: worker-pool threads
+  // (BM_TrainEpoch_* with Arg > 1, and the serving engine's batches) run
+  // whole graphs and allocate from their own thread-local pools, which this
+  // summary excludes.
   // Tune caps against single-worker runs (e.g. BM_TrainEpoch_AdapTraj/1),
   // where every allocation is on the main thread — that is how the
   // kMaxEntries sweep in buffer_pool.cpp was measured.

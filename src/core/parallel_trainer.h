@@ -3,8 +3,8 @@
 // Alg. 1 (and every baseline) used to run one optimizer step per batch, one
 // batch at a time: at the model sizes of the paper's tables (H = 32..128,
 // B = 32) the per-batch graphs are too small to saturate cores from inside a
-// single GEMM, so the thread pool under the kernels mostly idles. The
-// ParallelTrainer moves the parallelism up one level — across scenes —
+// single GEMM, so kernels run on their calling thread and the
+// ParallelTrainer puts the parallelism one level up — across scenes —
 // without giving up reproducibility:
 //
 //   - Each optimizer step consumes a GROUP of `accum_steps` micro-batches.
@@ -12,7 +12,7 @@
 //     master model the optimizer owns, slots 1..A-1 are structurally
 //     identical replicas whose parameters are overwritten from the master
 //     after every step (read-only within a step).
-//   - The group's tasks execute concurrently on the training-worker pool
+//   - The group's tasks execute concurrently on the worker pool
 //     (parallel::RunTaskGroup, ADAPTRAJ_TRAIN_WORKERS). Each task builds its
 //     own autograd graph on its own replica and backpropagates into that
 //     replica's gradient buffers (thread-local buffer pool, no sharing).

@@ -63,9 +63,10 @@ class EngineStoppedError : public ServeError {
 
 /// The request itself is malformed — a scene whose focal track or a
 /// neighbor track does not have the engine's window length, a NaN or ±Inf
-/// in an observed focal point or a neighbor point, or a negative
-/// SubmitOptions::timeout_ms. Rejected at Submit, before it is queued, so
-/// it can never fail or delay a batch-mate; counted in
+/// in an observed focal point or a neighbor point, a negative
+/// SubmitOptions::timeout_ms, or an explicit request id that duplicates one
+/// already queued. Rejected at Submit, before it is queued, so it can never
+/// fail or delay a batch-mate (or the queued owner of the id); counted in
 /// InferenceEngineStats::invalid_requests. Fix the request; do not retry it.
 class InvalidRequestError : public ServeError {
  public:

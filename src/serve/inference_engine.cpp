@@ -255,25 +255,29 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
 std::future<Tensor> InferenceEngine::SubmitLocked(uint64_t request_id,
                                                   const data::TrajectorySequence& scene,
                                                   const SubmitOptions& submit_options) {
+  // Both checks below reject a client's explicit id through its future:
+  // neither may abort a server that other clients share.
   const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
-  if (request_id < next_batch_ * batch_size && options_.max_batch_delay_ms > 0) {
-    // With the deadline enabled, the dispatcher retires slot space on a
-    // timer the producers cannot observe, so an explicit id landing in an
-    // already-flushed batch is an operational race, not a programming
-    // error — deliver it through the future instead of aborting the server.
+  if (request_id < next_batch_ * batch_size) {
+    // With the deadline enabled this is an operational race (the dispatcher
+    // retires slot space on a timer the producers cannot observe); without
+    // it, the client reused or mis-numbered an id.
     ++stats_.requests;
     ++stats_.rejected_requests;
     return FailedFuture(std::make_exception_ptr(ServeError(
-        "request id " + std::to_string(request_id) +
-        " arrived after its batch was already flushed (a max_batch_delay_ms "
-        "deadline flush or a concurrent Drain retired its slot range)")));
+        "request id " + std::to_string(request_id) + " belongs to batch " +
+        std::to_string(request_id / batch_size) +
+        ", which already executed (a max_batch_delay_ms deadline flush or a "
+        "Drain retired its slot range)")));
   }
-  ADAPTRAJ_CHECK_MSG(request_id >= next_batch_ * batch_size,
-                     "request id " << request_id << " belongs to batch "
-                                   << request_id / batch_size
-                                   << ", which already executed");
-  ADAPTRAJ_CHECK_MSG(pending_.find(request_id) == pending_.end(),
-                     "duplicate request id " << request_id);
+  if (pending_.count(request_id) != 0) {
+    // The request already queued under this id keeps its slot untouched.
+    ++stats_.requests;
+    ++stats_.invalid_requests;
+    return FailedFuture(std::make_exception_ptr(InvalidRequestError(
+        "duplicate request id " + std::to_string(request_id) +
+        ": a request with that id is already queued")));
+  }
   PendingRequest req;
   req.scene = scene;
   req.enqueue_time = Clock::now();
@@ -576,7 +580,7 @@ void InferenceEngine::ExecuteGroup(std::vector<ReadyBatch>* group,
                                    const core::Method* method) const {
   if (method->reentrant_predict()) {
     // Every batch shares the served model; full cross-batch concurrency on
-    // the training-worker pool.
+    // the worker pool.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(group->size());
     for (ReadyBatch& rb : *group) {

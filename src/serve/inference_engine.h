@@ -7,7 +7,7 @@
 // (one graph, batched GEMMs). The engine accepts per-scene requests from any
 // number of producer threads, coalesces them into fixed-size batches on a
 // persistent dispatcher thread, runs the owned Method's Predict (forward-only
-// under NoGradGuard) on the training-worker pool, and delivers each request's
+// under NoGradGuard) on the one worker pool, and delivers each request's
 // prediction — or the exception that prevented it — through a future.
 //
 // Threading model:
@@ -25,10 +25,9 @@
 //     head of the queue, or (d) a queued request's deadline needs expiring —
 //     then it expires overdue requests, collects the ready prefix (decided
 //     under the mutex), releases the mutex, and executes the batches as task
-//     groups on the training-worker pool (parallel::RunTaskGroup). The
+//     groups on the process's one worker pool (parallel::RunTaskGroup). The
 //     dispatcher is the only thread that calls RunTaskGroup on the serving
-//     path, so the worker x kernel-thread budget of tensor/parallel.h is
-//     never multiplied by producer count.
+//     path, so the thread count never grows with producer count.
 //   - One persistent WATCHDOG thread covers the windows the dispatcher
 //     cannot: it expires queued deadlines while the dispatcher is blocked
 //     inside an execution group, and it detects an in-flight group that has
@@ -70,18 +69,20 @@
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
 //   - InvalidRequestError: the request is malformed (a focal or neighbor
 //     track of the wrong length, a non-finite point that inference reads,
-//     a negative timeout_ms). Checked at Submit
-//     before the request is queued, so it never reaches tensorization and
-//     never fails a batch-mate; counted in invalid_requests.
-//   - ServeError: an explicit id that lost the race against a deadline
-//     flush, or was stranded behind a slot hole the flush padded past.
+//     a negative timeout_ms), or its explicit id duplicates one already
+//     queued. Checked at Submit before the request is queued, so it never
+//     reaches tensorization and never fails a batch-mate (nor the queued
+//     request that owns the id); counted in invalid_requests.
+//   - ServeError: an explicit id whose batch already executed (it lost the
+//     race against a deadline flush, or the client mis-numbered it), or that
+//     was stranded behind a slot hole the flush padded past.
 //   - Application errors: Predict / MakeBatch / allocation failures inside a
 //     batch are caught and delivered VERBATIM to exactly that batch's
 //     futures — future.get() rethrows the original exception, the failed
 //     batch is retired (slots consumed), and the engine keeps serving later
 //     batches. The engine never wraps application errors.
-// The library itself still reports programming errors (malformed ids,
-// invalid options) via ADAPTRAJ_CHECK, which aborts.
+// The library itself still reports programming errors (invalid options, a
+// Drain over a slot gap) via ADAPTRAJ_CHECK, which aborts.
 //
 // Admission control: `max_queued_requests` bounds the pending queue (0 =
 // unbounded, the legacy behaviour). On overflow, OverflowPolicy::kShed fails
@@ -138,8 +139,8 @@
 //     every built-in method is reentrant, LBEBM included (its Langevin
 //     sampler differentiates detached parameter copies and writes no shared
 //     gradient buffer). Concurrent execution is bit-identical to serialized
-//     execution because each batch owns its noise stream and every kernel
-//     is bit-deterministic for any thread count (see tensor/parallel.h). A
+//     execution because each batch owns its noise stream and no kernel's
+//     result depends on the thread that runs it (see tensor/parallel.h). A
 //     method reporting Method::reentrant_predict() == false (the fault
 //     injector, which pins a fault to a batch index) runs one batch at a
 //     time, in collection order.
@@ -267,9 +268,9 @@ struct InferenceEngineStats {
   int64_t padded_rows = 0;       // rows computed for padding and discarded
   int64_t failed_batches = 0;    // batches whose futures carry an exception
   int64_t deadline_flushes = 0;  // flushes triggered by max_batch_delay_ms
-  /// Requests refused without enqueueing: explicit ids that lost the race
-  /// against a deadline flush, ids stranded behind a padded-past slot hole,
-  /// and Submits after shutdown.
+  /// Requests refused without enqueueing: explicit ids whose batch already
+  /// executed, ids stranded behind a padded-past slot hole, and Submits
+  /// after shutdown.
   int64_t rejected_requests = 0;
   /// Admission-control rejections (queue full, OverflowPolicy::kShed).
   int64_t shed_requests = 0;
@@ -277,7 +278,8 @@ struct InferenceEngineStats {
   int64_t expired_requests = 0;
   /// Queued requests failed by Shutdown()/destruction before execution.
   int64_t stopped_requests = 0;
-  /// Malformed requests refused at Submit (InvalidRequestError).
+  /// Malformed requests and duplicate explicit ids refused at Submit
+  /// (InvalidRequestError).
   int64_t invalid_requests = 0;
   /// Execution groups that exceeded stuck_batch_warn_ms (one per group).
   int64_t stuck_batches = 0;
@@ -340,12 +342,14 @@ class InferenceEngine {
 
   /// Enqueues a scene at an explicit slot, for request streams that arrive
   /// out of order or from several producer threads. Slots must be unique and
-  /// must not precede an already executed batch (a checked error — except
-  /// with max_batch_delay_ms enabled, where a deadline flush can retire slot
-  /// space on a timer the producers cannot observe: an id that loses that
-  /// race is rejected through its future instead, as is an already-pending
-  /// id stranded behind a slot hole the deadline padded past). The engine
-  /// holds a batch until every one of its slots has arrived.
+  /// must not precede an already executed batch. A violation fails only the
+  /// new request's future: a duplicate of a queued id with
+  /// InvalidRequestError, an id whose batch already executed with ServeError
+  /// (with max_batch_delay_ms enabled a deadline flush can retire slot space
+  /// on a timer the producers cannot observe; an already-pending id
+  /// stranded behind a slot hole the deadline padded past fails the same
+  /// way). The engine holds a batch until every one of its slots has
+  /// arrived.
   std::future<Tensor> Submit(uint64_t request_id, const data::TrajectorySequence& scene)
       ADAPTRAJ_EXCLUDES(mu_);
   /// As above with per-request options (deadline).

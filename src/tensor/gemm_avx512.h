@@ -82,8 +82,8 @@ bool CompiledIn();
 /// True when the host CPU supports AVX-512F. Safe to call on any host.
 bool CpuSupported();
 
-/// Rows [i0, i1) of one TileArgs slice through the 8x32 tile. Serial — the
-/// driver splits rows across the thread pool. Must only be called when
+/// Rows [i0, i1) of one TileArgs slice through the 8x32 tile; the driver
+/// hands it one 32-row panel at a time. Must only be called when
 /// CompiledIn() && CpuSupported().
 void TileRows(const TileArgs& t, int64_t i0, int64_t i1);
 

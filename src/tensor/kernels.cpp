@@ -13,7 +13,6 @@
 
 #include "tensor/buffer_pool.h"
 #include "tensor/gemm_avx512.h"
-#include "tensor/parallel.h"
 
 // The kernels below are written with GCC/Clang vector extensions: the GEMM
 // register tile, the transcendental approximations and the optimizer loops.
@@ -218,23 +217,21 @@ void SigmoidForward(const float* x, float* y, int64_t n) {
 // --- GEMM --------------------------------------------------------------------
 //
 // One driver (RunTiles) serves Gemm, BatchGemm and PlanGemm on both paths. It
-// hands (slice, 32-row panel) work items to the pool, runs the path's one
-// register tile over each item (TileArgs, gemm_avx512.h), then applies a
-// tanh/sigmoid epilogue to the item's own rows. Packing — a transposed A, a
-// transposed B, or the ragged last column block of a B read in place —
-// happens up front on the calling thread, since the buffer pool is
-// thread-local.
+// walks each slice in 32-row panels, runs the path's one register tile over
+// each panel (TileArgs, gemm_avx512.h), then applies a tanh/sigmoid epilogue
+// to the panel's own rows. Packing — a transposed A, a transposed B, or the
+// ragged last column block of a B read in place — happens up front.
 
 namespace {
 
 // Portable tile extents: kMR C rows x 1-3 blocks of kNR columns (2*kMR rows
 // for a one-block tile) are held in registers across the whole k loop, one
 // 16-lane vector per block per row, so the inner loop is pure broadcast+FMA
-// over streaming B loads. kRowGrain rows form one parallel work item on both
-// paths.
+// over streaming B loads. Both paths sweep every column block over one
+// kRowPanel-row panel of A (kept hot in cache) before moving to the next.
 constexpr int64_t kMR = 4;
 constexpr int64_t kNR = 16;
-constexpr int64_t kRowGrain = 32;
+constexpr int64_t kRowPanel = 32;
 
 inline int64_t RoundUpNR(int64_t n) { return (n + kNR - 1) / kNR * kNR; }
 
@@ -410,29 +407,25 @@ int64_t PackedPanel(GemmPath path, int64_t k) {
 }
 
 /// The GEMM driver: `batch` slices of `t` (slice s moves A, B and B's tail
-/// by s times the given strides and C by s·m·n) as (slice, 32-row panel)
-/// work items on the pool. Panel boundaries depend only on m, so any thread
-/// count produces the same per-item serial compute. A tanh/sigmoid `act`
-/// runs as a second pass over each item's stored rows INSIDE the same work
-/// item, through this TU's TanhForward/SigmoidForward — exactly the eager
-/// arithmetic, however kernels_avx512.cpp's TU would have contracted it.
-/// The store/reload between the passes is a bit-exact float identity, and
-/// VecMap's zero-padded remainder makes a per-item pass identical to the
-/// eager whole-tensor one.
+/// by s times the given strides and C by s·m·n), each in 32-row panels. A
+/// tanh/sigmoid `act` runs as a second pass over each panel's stored rows
+/// while they are still in cache, through this TU's TanhForward/
+/// SigmoidForward — exactly the eager arithmetic, however
+/// kernels_avx512.cpp's TU would have contracted it. The store/reload
+/// between the passes is a bit-exact float identity, and VecMap's
+/// zero-padded remainder makes a per-panel pass identical to the eager
+/// whole-tensor one.
 void RunTiles(GemmPath path, const TileArgs& t, int64_t batch, int64_t m,
               int64_t stride_a, int64_t stride_b, int64_t stride_tail,
               PlanAct act) {
-  const int64_t panels = (m + kRowGrain - 1) / kRowGrain;
-  parallel::ParallelFor(0, batch * panels, 1, [&](int64_t w0, int64_t w1) {
-    for (int64_t w = w0; w < w1; ++w) {
-      const int64_t s = w / panels;
-      const int64_t i0 = (w % panels) * kRowGrain;
-      const int64_t i1 = std::min(m, i0 + kRowGrain);
-      TileArgs slice = t;
-      slice.a += s * stride_a;
-      slice.b += s * stride_b;
-      if (slice.b_tail != nullptr) slice.b_tail += s * stride_tail;
-      slice.c += s * m * t.n;
+  for (int64_t s = 0; s < batch; ++s) {
+    TileArgs slice = t;
+    slice.a += s * stride_a;
+    slice.b += s * stride_b;
+    if (slice.b_tail != nullptr) slice.b_tail += s * stride_tail;
+    slice.c += s * m * t.n;
+    for (int64_t i0 = 0; i0 < m; i0 += kRowPanel) {
+      const int64_t i1 = std::min(m, i0 + kRowPanel);
       if (path == GemmPath::kAvx512) {
         avx512::TileRows(slice, i0, i1);
       } else {
@@ -442,7 +435,7 @@ void RunTiles(GemmPath path, const TileArgs& t, int64_t batch, int64_t m,
       if (act == PlanAct::kTanh) TanhForward(rows, rows, (i1 - i0) * t.n);
       if (act == PlanAct::kSigmoid) SigmoidForward(rows, rows, (i1 - i0) * t.n);
     }
-  });
+  }
 }
 
 /// BatchGemm on an explicit path: BatchGemm resolves it by shape, the probe
@@ -696,9 +689,6 @@ void BatchGemmNaive(bool trans_a, bool trans_b, int64_t batch, int64_t m,
 
 namespace {
 
-/// Elements per parallel chunk for the memory-bound optimizer loops.
-constexpr int64_t kUpdateGrain = 1 << 15;
-
 /// Lane-wise IEEE sqrt. Hardware sqrt instructions are correctly rounded,
 /// so every variant below is bit-identical to std::sqrt per lane (inputs are
 /// never negative here). The intrinsic paths exist because GCC will not
@@ -733,79 +723,73 @@ inline Vec16 VecSqrt(Vec16 x) {
 void ReduceGradSum(const float* const* srcs, int num_srcs, float scale,
                    float* dst, int64_t n) {
   if (n == 0 || num_srcs <= 0) return;
-  parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
-    int64_t i = lo;
-    const Vec16 vscale = Splat(scale);
-    for (; i + 16 <= hi; i += 16) {
-      Vec16 acc = LoadVec16(srcs[0] + i);
-      for (int s = 1; s < num_srcs; ++s) acc = acc + LoadVec16(srcs[s] + i);
-      StoreVec16(dst + i, acc * vscale);
-    }
-    for (; i < hi; ++i) {
-      float acc = srcs[0][i];
-      for (int s = 1; s < num_srcs; ++s) acc += srcs[s][i];
-      dst[i] = acc * scale;
-    }
-  });
+  int64_t i = 0;
+  const Vec16 vscale = Splat(scale);
+  for (; i + 16 <= n; i += 16) {
+    Vec16 acc = LoadVec16(srcs[0] + i);
+    for (int s = 1; s < num_srcs; ++s) acc = acc + LoadVec16(srcs[s] + i);
+    StoreVec16(dst + i, acc * vscale);
+  }
+  for (; i < n; ++i) {
+    float acc = srcs[0][i];
+    for (int s = 1; s < num_srcs; ++s) acc += srcs[s][i];
+    dst[i] = acc * scale;
+  }
 }
 
 void AdamUpdate(float* param, const float* grad, float* m, float* v, int64_t n,
                 float lr, float beta1, float beta2, float eps,
                 float weight_decay, float bc1, float bc2) {
-  parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
-    int64_t i = lo;
-    const Vec16 vb1 = Splat(beta1), vcb1 = Splat(1.0f - beta1);
-    const Vec16 vb2 = Splat(beta2), vcb2 = Splat(1.0f - beta2);
-    const Vec16 vwd = Splat(weight_decay), vlr = Splat(lr);
-    const Vec16 vbc1 = Splat(bc1), vbc2 = Splat(bc2), veps = Splat(eps);
-    for (; i + 16 <= hi; i += 16) {
-      Vec16 p = LoadVec16(param + i);
-      Vec16 g = LoadVec16(grad + i);
-      if (weight_decay != 0.0f) g = g + vwd * p;
-      const Vec16 mv = vb1 * LoadVec16(m + i) + vcb1 * g;
-      const Vec16 vv = vb2 * LoadVec16(v + i) + vcb2 * (g * g);
-      StoreVec16(m + i, mv);
-      StoreVec16(v + i, vv);
-      p = p - vlr * (mv / vbc1) / (VecSqrt(vv / vbc2) + veps);
-      StoreVec16(param + i, p);
-    }
-    for (; i < hi; ++i) {
-      float g = grad[i];
-      if (weight_decay != 0.0f) g += weight_decay * param[i];
-      m[i] = beta1 * m[i] + (1.0f - beta1) * g;
-      v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
-      const float m_hat = m[i] / bc1;
-      const float v_hat = v[i] / bc2;
-      param[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-    }
-  });
+  int64_t i = 0;
+  const Vec16 vb1 = Splat(beta1), vcb1 = Splat(1.0f - beta1);
+  const Vec16 vb2 = Splat(beta2), vcb2 = Splat(1.0f - beta2);
+  const Vec16 vwd = Splat(weight_decay), vlr = Splat(lr);
+  const Vec16 vbc1 = Splat(bc1), vbc2 = Splat(bc2), veps = Splat(eps);
+  for (; i + 16 <= n; i += 16) {
+    Vec16 p = LoadVec16(param + i);
+    Vec16 g = LoadVec16(grad + i);
+    if (weight_decay != 0.0f) g = g + vwd * p;
+    const Vec16 mv = vb1 * LoadVec16(m + i) + vcb1 * g;
+    const Vec16 vv = vb2 * LoadVec16(v + i) + vcb2 * (g * g);
+    StoreVec16(m + i, mv);
+    StoreVec16(v + i, vv);
+    p = p - vlr * (mv / vbc1) / (VecSqrt(vv / vbc2) + veps);
+    StoreVec16(param + i, p);
+  }
+  for (; i < n; ++i) {
+    float g = grad[i];
+    if (weight_decay != 0.0f) g += weight_decay * param[i];
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g;
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
+    const float m_hat = m[i] / bc1;
+    const float v_hat = v[i] / bc2;
+    param[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  }
 }
 
 void SgdUpdate(float* param, const float* grad, float* velocity, int64_t n,
                float lr, float momentum) {
-  parallel::ParallelFor(0, n, kUpdateGrain, [&](int64_t lo, int64_t hi) {
-    int64_t i = lo;
-    const Vec16 vlr = Splat(lr), vmom = Splat(momentum);
+  int64_t i = 0;
+  const Vec16 vlr = Splat(lr), vmom = Splat(momentum);
+  if (momentum != 0.0f) {
+    for (; i + 16 <= n; i += 16) {
+      const Vec16 vel = vmom * LoadVec16(velocity + i) + LoadVec16(grad + i);
+      StoreVec16(velocity + i, vel);
+      StoreVec16(param + i, LoadVec16(param + i) - vlr * vel);
+    }
+  } else {
+    for (; i + 16 <= n; i += 16) {
+      StoreVec16(param + i, LoadVec16(param + i) - vlr * LoadVec16(grad + i));
+    }
+  }
+  for (; i < n; ++i) {
+    float g = grad[i];
     if (momentum != 0.0f) {
-      for (; i + 16 <= hi; i += 16) {
-        const Vec16 vel = vmom * LoadVec16(velocity + i) + LoadVec16(grad + i);
-        StoreVec16(velocity + i, vel);
-        StoreVec16(param + i, LoadVec16(param + i) - vlr * vel);
-      }
-    } else {
-      for (; i + 16 <= hi; i += 16) {
-        StoreVec16(param + i, LoadVec16(param + i) - vlr * LoadVec16(grad + i));
-      }
+      velocity[i] = momentum * velocity[i] + g;
+      g = velocity[i];
     }
-    for (; i < hi; ++i) {
-      float g = grad[i];
-      if (momentum != 0.0f) {
-        velocity[i] = momentum * velocity[i] + g;
-        g = velocity[i];
-      }
-      param[i] -= lr * g;
-    }
-  });
+    param[i] -= lr * g;
+  }
 }
 
 void SoftmaxRow(const float* x, float* y, int64_t n) {
@@ -841,16 +825,21 @@ void AccumulateColumnSum(const float* y, int64_t rows, int64_t cols, float* out)
 
 namespace {
 
-/// Chunk grain for splitting LSTM rows across the pool: a pure function of
-/// the extents, so chunk boundaries (and thus results) never depend on the
-/// thread count.
-inline int64_t LstmRowGrain(int64_t hidden) {
-  return std::max<int64_t>(1, 2048 / std::max<int64_t>(1, hidden));
+/// dst[0:w] += v[0:w] (w <= 16).
+inline void AccumulatePartial(float* dst, Vec16 v, int64_t w) {
+  StorePartial16(dst, LoadPartial16(dst, w) + v, w);
 }
 
-void LstmForwardCRows(const float* gates, const float* c_prev, int64_t hidden,
-                      float* c_next, int64_t r0, int64_t r1, bool simd) {
-  for (int64_t r = r0; r < r1; ++r) {
+inline void Accumulate16(float* dst, Vec16 v) {
+  StoreVec16(dst, LoadVec16(dst) + v);
+}
+
+}  // namespace
+
+void LstmCellForwardC(const float* gates, const float* c_prev, int64_t batch,
+                      int64_t hidden, float* c_next) {
+  const bool simd = SimdTranscendentalsActive();
+  for (int64_t r = 0; r < batch; ++r) {
     const float* g = gates + r * 4 * hidden;
     const float* cp = c_prev + r * hidden;
     float* cn = c_next + r * hidden;
@@ -880,9 +869,10 @@ void LstmForwardCRows(const float* gates, const float* c_prev, int64_t hidden,
   }
 }
 
-void LstmForwardHRows(const float* gates, const float* c_next, int64_t hidden,
-                      float* h_next, int64_t r0, int64_t r1, bool simd) {
-  for (int64_t r = r0; r < r1; ++r) {
+void LstmCellForwardH(const float* gates, const float* c_next, int64_t batch,
+                      int64_t hidden, float* h_next) {
+  const bool simd = SimdTranscendentalsActive();
+  for (int64_t r = 0; r < batch; ++r) {
     const float* g = gates + r * 4 * hidden;
     const float* cn = c_next + r * hidden;
     float* hn = h_next + r * hidden;
@@ -906,19 +896,11 @@ void LstmForwardHRows(const float* gates, const float* c_next, int64_t hidden,
   }
 }
 
-/// dst[0:w] += v[0:w] (w <= 16).
-inline void AccumulatePartial(float* dst, Vec16 v, int64_t w) {
-  StorePartial16(dst, LoadPartial16(dst, w) + v, w);
-}
-
-inline void Accumulate16(float* dst, Vec16 v) {
-  StoreVec16(dst, LoadVec16(dst) + v);
-}
-
-void LstmBackwardCRows(const float* gates, const float* c_prev, const float* dc,
-                       int64_t hidden, float* d_gates, float* d_c_prev,
-                       int64_t r0, int64_t r1, bool simd) {
-  for (int64_t r = r0; r < r1; ++r) {
+void LstmCellBackwardC(const float* gates, const float* c_prev, const float* dc,
+                       int64_t batch, int64_t hidden, float* d_gates,
+                       float* d_c_prev) {
+  const bool simd = SimdTranscendentalsActive();
+  for (int64_t r = 0; r < batch; ++r) {
     const float* g = gates + r * 4 * hidden;
     const float* cp = c_prev + r * hidden;
     const float* d = dc + r * hidden;
@@ -970,10 +952,11 @@ void LstmBackwardCRows(const float* gates, const float* c_prev, const float* dc,
   }
 }
 
-void LstmBackwardHRows(const float* gates, const float* c_next, const float* dh,
-                       int64_t hidden, float* d_gates, float* d_c_next,
-                       int64_t r0, int64_t r1, bool simd) {
-  for (int64_t r = r0; r < r1; ++r) {
+void LstmCellBackwardH(const float* gates, const float* c_next, const float* dh,
+                       int64_t batch, int64_t hidden, float* d_gates,
+                       float* d_c_next) {
+  const bool simd = SimdTranscendentalsActive();
+  for (int64_t r = 0; r < batch; ++r) {
     const float* g = gates + r * 4 * hidden;
     const float* cn = c_next + r * hidden;
     const float* d = dh + r * hidden;
@@ -1012,10 +995,10 @@ void LstmBackwardHRows(const float* gates, const float* c_next, const float* dh,
   }
 }
 
-void LstmForwardCHRows(const float* gates, const float* c_prev, int64_t hidden,
-                       float* c_next, float* h_next, int64_t r0, int64_t r1,
-                       bool simd) {
-  for (int64_t r = r0; r < r1; ++r) {
+void LstmCellForwardCH(const float* gates, const float* c_prev, int64_t batch,
+                       int64_t hidden, float* c_next, float* h_next) {
+  const bool simd = SimdTranscendentalsActive();
+  for (int64_t r = 0; r < batch; ++r) {
     const float* g = gates + r * 4 * hidden;
     const float* cp = c_prev + r * hidden;
     float* cn = c_next + r * hidden;
@@ -1055,67 +1038,21 @@ void LstmForwardCHRows(const float* gates, const float* c_prev, int64_t hidden,
   }
 }
 
-}  // namespace
-
-void LstmCellForwardC(const float* gates, const float* c_prev, int64_t batch,
-                      int64_t hidden, float* c_next) {
-  const bool simd = SimdTranscendentalsActive();
-  parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
-    LstmForwardCRows(gates, c_prev, hidden, c_next, r0, r1, simd);
-  });
-}
-
-void LstmCellForwardH(const float* gates, const float* c_next, int64_t batch,
-                      int64_t hidden, float* h_next) {
-  const bool simd = SimdTranscendentalsActive();
-  parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
-    LstmForwardHRows(gates, c_next, hidden, h_next, r0, r1, simd);
-  });
-}
-
-void LstmCellBackwardC(const float* gates, const float* c_prev, const float* dc,
-                       int64_t batch, int64_t hidden, float* d_gates,
-                       float* d_c_prev) {
-  const bool simd = SimdTranscendentalsActive();
-  parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
-    LstmBackwardCRows(gates, c_prev, dc, hidden, d_gates, d_c_prev, r0, r1, simd);
-  });
-}
-
-void LstmCellBackwardH(const float* gates, const float* c_next, const float* dh,
-                       int64_t batch, int64_t hidden, float* d_gates,
-                       float* d_c_next) {
-  const bool simd = SimdTranscendentalsActive();
-  parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
-    LstmBackwardHRows(gates, c_next, dh, hidden, d_gates, d_c_next, r0, r1, simd);
-  });
-}
-
-void LstmCellForwardCH(const float* gates, const float* c_prev, int64_t batch,
-                       int64_t hidden, float* c_next, float* h_next) {
-  const bool simd = SimdTranscendentalsActive();
-  parallel::ParallelFor(0, batch, LstmRowGrain(hidden), [&](int64_t r0, int64_t r1) {
-    LstmForwardCHRows(gates, c_prev, hidden, c_next, h_next, r0, r1, simd);
-  });
-}
-
 void ScaledMaskedSoftmaxRows(const float* x, const float* mask, float scale,
                              float fill, int64_t rows, int64_t cols, float* y) {
-  parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* xr = x + r * cols;
-      float* yr = y + r * cols;
-      if (mask != nullptr) {
-        const float* mr = mask + r * cols;
-        for (int64_t j = 0; j < cols; ++j) {
-          yr[j] = (mr[j] != 0.0f) ? fill : xr[j] * scale;
-        }
-      } else {
-        for (int64_t j = 0; j < cols; ++j) yr[j] = xr[j] * scale;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * cols;
+    float* yr = y + r * cols;
+    if (mask != nullptr) {
+      const float* mr = mask + r * cols;
+      for (int64_t j = 0; j < cols; ++j) {
+        yr[j] = (mr[j] != 0.0f) ? fill : xr[j] * scale;
       }
-      SoftmaxRow(yr, yr, cols);
+    } else {
+      for (int64_t j = 0; j < cols; ++j) yr[j] = xr[j] * scale;
     }
-  });
+    SoftmaxRow(yr, yr, cols);
+  }
 }
 
 void LayerNormRows(const float* x, int64_t rows, int64_t cols, float eps,
@@ -1123,25 +1060,23 @@ void LayerNormRows(const float* x, int64_t rows, int64_t cols, float eps,
   // `scale` matches ops::MeanAxis exactly (float reciprocal applied to the
   // float-rounded double sum).
   const float scale = cols > 0 ? 1.0f / static_cast<float>(cols) : 1.0f;
-  parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* xr = x + r * cols;
-      float* yr = y + r * cols;
-      double sum = 0.0;
-      for (int64_t j = 0; j < cols; ++j) sum += xr[j];
-      const float neg_mean = -(static_cast<float>(sum) * scale);
-      double sq = 0.0;
-      for (int64_t j = 0; j < cols; ++j) {
-        const float centered = xr[j] + neg_mean;
-        yr[j] = centered;
-        sq += centered * centered;
-      }
-      const float var = static_cast<float>(sq) * scale;
-      const float sd = std::sqrt(std::max(var + eps, 0.0f));
-      const float inv = 1.0f / sd;
-      for (int64_t j = 0; j < cols; ++j) yr[j] *= inv;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * cols;
+    float* yr = y + r * cols;
+    double sum = 0.0;
+    for (int64_t j = 0; j < cols; ++j) sum += xr[j];
+    const float neg_mean = -(static_cast<float>(sum) * scale);
+    double sq = 0.0;
+    for (int64_t j = 0; j < cols; ++j) {
+      const float centered = xr[j] + neg_mean;
+      yr[j] = centered;
+      sq += centered * centered;
     }
-  });
+    const float var = static_cast<float>(sq) * scale;
+    const float sd = std::sqrt(std::max(var + eps, 0.0f));
+    const float inv = 1.0f / sd;
+    for (int64_t j = 0; j < cols; ++j) yr[j] *= inv;
+  }
 }
 
 }  // namespace kernels

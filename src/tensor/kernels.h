@@ -7,10 +7,10 @@
 // into contiguous panels and tiles the output into register tiles (explicit
 // vector accumulators held across the whole k loop) — the 8x32 AVX-512 tile
 // or the portable tile, chosen at runtime (see "GEMM dispatch" below) —
-// splitting row panels across the parallel::ParallelFor pool. The reduction
-// order over k is ascending on both paths and independent of the thread
-// count and tile geometry, so results are bit-identical to the serial
-// reference run to run.
+// one 32-row panel at a time. Every kernel runs on its calling thread. The
+// reduction order over k is ascending on both paths and independent of the
+// tile geometry, so results are bit-identical to the serial reference run to
+// run.
 //
 // The LstmCell* kernels fuse the per-gate sigmoid/tanh activations (and
 // their backward forms) into single passes over the [B, 4H] gate buffer,
@@ -35,7 +35,7 @@ namespace kernels {
 
 /// C[M,N] = op(A)·op(B), or += when `accumulate` is set. op(X) = Xᵀ when the
 /// corresponding trans flag is set (A is then stored [K,M], B stored [N,K]).
-/// Blocked, packed, and parallelized; deterministic for fixed inputs.
+/// Blocked and packed; deterministic for fixed inputs.
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, const float* b, float* c, bool accumulate);
 
@@ -46,11 +46,9 @@ void GemmNaive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 /// Batched GEMM over `batch` independent slices: C[b] (+)= op(A[b])·op(B[b]).
 /// Slices are dense and contiguous (strides m·k / k·n / m·n), so a [B,M,K] x
-/// [B,K,N] tensor product is one call. Gemm is BatchGemm with batch 1; work
-/// is split across the thread pool as
-/// (slice, 32-row panel) pairs with static chunk boundaries that depend only
-/// on the extents — results are bit-identical for any thread count, and equal
-/// to calling Gemm per slice. batch == 0 and k == 0 are handled natively.
+/// [B,K,N] tensor product is one call. Gemm is BatchGemm with batch 1, and
+/// results equal calling Gemm per slice. batch == 0 and k == 0 are handled
+/// natively.
 void BatchGemm(bool trans_a, bool trans_b, int64_t batch, int64_t m, int64_t n,
                int64_t k, const float* a, const float* b, float* c,
                bool accumulate);
@@ -64,8 +62,8 @@ void BatchGemmNaive(bool trans_a, bool trans_b, int64_t batch, int64_t m,
 //
 // Gemm, BatchGemm and PlanGemm are one driver: it packs what needs packing
 // (a transposed A, a transposed B, the ragged last column block of a B read
-// in place; PlanGemm's weights arrive pre-packed), splits (slice, 32-row
-// panel) work items across the pool, and runs one of two register tiles:
+// in place; PlanGemm's weights arrive pre-packed), walks each slice in
+// 32-row panels, and runs one of two register tiles:
 //
 //   kAvx512   8x32 tiles (16 zmm accumulators), k-unrolled FMA. Lives in
 //             its own TU compiled with -mavx512f (gemm_avx512.h).
@@ -130,7 +128,7 @@ bool Avx512GemmCompiledIn();
 // error vs std::exp on [-87.3, 88.7], and < 1e-6 absolute error for the
 // derived tanh/sigmoid. Remainder elements run through the same vector code
 // on a zero-padded tile, so results are independent of how a range is split
-// into chunks (and therefore of the thread count).
+// into chunks (the GEMM epilogue applies them one row panel at a time).
 //
 // The active path is resolved once per process: SIMD is on when a startup
 // accuracy sweep against libm passes, scalar libm otherwise. Tests and
@@ -173,14 +171,12 @@ void AccumulateColumnSum(const float* y, int64_t rows, int64_t cols, float* out)
 //
 // These back the data-parallel training path (core/parallel_trainer.h) and
 // the vectorized nn::Sgd / nn::Adam steps. All of them are deterministic:
-// per-element arithmetic has a fixed order that does not depend on chunk
-// boundaries or thread count.
+// per-element arithmetic has a fixed order.
 
 /// dst[i] = (srcs[0][i] + srcs[1][i] + ... + srcs[num_srcs-1][i]) * scale.
 /// Sources are added in ascending index order per element — the fixed-order
-/// reduction discipline of ops::Sum applied across gradient buffers — so the
-/// result is bit-identical however the element range is chunked across
-/// threads. dst may alias srcs[0] (the in-place master-gradient case).
+/// reduction discipline of ops::Sum applied across gradient buffers. dst may
+/// alias srcs[0] (the in-place master-gradient case).
 void ReduceGradSum(const float* const* srcs, int num_srcs, float scale,
                    float* dst, int64_t n);
 
@@ -235,9 +231,9 @@ void PlanPackBiasFor(const float* b, int64_t n, GemmPath path, float* dst);
 /// C[m, n] = act(A·B1 (+ A2·B2) + bias). B1/B2/bias are pre-packed for
 /// `packed_for` (PlanPackWeightFor/PlanPackBiasFor with the same path — the
 /// plan records it at capture time); the second product is skipped when a2
-/// is null, the bias when biasp is null. Row panels split across the thread
-/// pool; the per-row reduction runs k then k2 ascending, matching the eager
-/// Gemm + accumulate-Gemm + AddRowBias order bit for bit on either path.
+/// is null, the bias when biasp is null. The per-row reduction runs k then
+/// k2 ascending, matching the eager Gemm + accumulate-Gemm + AddRowBias
+/// order bit for bit on either path.
 void PlanGemm(int64_t m, int64_t n, int64_t k, const float* a,
               const float* bp, int64_t k2, const float* a2, const float* bp2,
               const float* biasp, PlanAct act, float* c, GemmPath packed_for);
@@ -273,9 +269,7 @@ void LayerNormRows(const float* x, int64_t rows, int64_t cols, float eps,
 // `gates` is the pre-activation buffer [B, 4H] in gate order i, f, g, o.
 // All backward kernels ACCUMULATE into their d_* outputs. The gate
 // activations run on the active transcendental path (SIMD when available,
-// scalar libm otherwise — see SetTranscendentalPath above); rows are split
-// across the thread pool with static chunking, so results are bit-identical
-// for any thread count.
+// scalar libm otherwise — see SetTranscendentalPath above).
 
 /// c_next = sigmoid(f) * c_prev + sigmoid(i) * tanh(g).
 void LstmCellForwardC(const float* gates, const float* c_prev, int64_t batch,

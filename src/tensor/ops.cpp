@@ -9,16 +9,11 @@
 
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 #include "tensor/plan.h"
 
 namespace adaptraj {
 
 namespace {
-
-/// Elementwise loops below this many elements run inline; larger ones are
-/// chunked across the thread pool (deterministically — see parallel.h).
-constexpr int64_t kElementwiseGrain = 1 << 14;
 
 /// Walks the flat offsets into a broadcast operand (same rank; extents equal
 /// or 1) in row-major order of the output. An odometer over the output shape
@@ -70,24 +65,12 @@ int64_t ArgMax(const float* lane, int64_t extent, int64_t stride) {
 
 template <typename F>
 void Map1(const float* x, float* y, int64_t n, F f) {
-  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) y[i] = f(x[i]);
-  });
-}
-
-/// Transcendentals: one bulk kernel call per chunk.
-template <void (*Bulk)(const float*, float*, int64_t)>
-void MapBulk(const float* x, float* y, int64_t n) {
-  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    Bulk(x + lo, y + lo, hi - lo);
-  });
+  for (int64_t i = 0; i < n; ++i) y[i] = f(x[i]);
 }
 
 template <typename F>
 void Map2(const float* a, const float* b, float* y, int64_t n, F f) {
-  parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) y[i] = f(a[i], b[i]);
-  });
+  for (int64_t i = 0; i < n; ++i) y[i] = f(a[i], b[i]);
 }
 
 template <typename F>
@@ -127,9 +110,9 @@ void RunForward(const OpDesc& d, Operands in, float* out, float* out2,
           return Map1(x, out, d.n, [p0](float v) { return v * p0; });
         case Un::kRelu:
           return Map1(x, out, d.n, [](float v) { return v > 0.0f ? v : 0.0f; });
-        case Un::kTanh: return MapBulk<kernels::TanhForward>(x, out, d.n);
-        case Un::kSigmoid: return MapBulk<kernels::SigmoidForward>(x, out, d.n);
-        case Un::kExp: return MapBulk<kernels::ExpForward>(x, out, d.n);
+        case Un::kTanh: return kernels::TanhForward(x, out, d.n);
+        case Un::kSigmoid: return kernels::SigmoidForward(x, out, d.n);
+        case Un::kExp: return kernels::ExpForward(x, out, d.n);
         case Un::kSquare:
           return Map1(x, out, d.n, [](float v) { return v * v; });
         case Un::kSqrt:
@@ -197,11 +180,9 @@ void RunForward(const OpDesc& d, Operands in, float* out, float* out2,
     case Op::kSoftmax: {
       const float* x = in[0];
       const int64_t cols = d.n;
-      parallel::ParallelFor(0, d.m, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          kernels::SoftmaxRow(&x[r * cols], &out[r * cols], cols);
-        }
-      });
+      for (int64_t r = 0; r < d.m; ++r) {
+        kernels::SoftmaxRow(&x[r * cols], &out[r * cols], cols);
+      }
       return;
     }
     case Op::kReduce: {
@@ -399,15 +380,13 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* name, Bin
         const float* xa = ia->data.data();
         const float* xb = ib->data.data();
         const float* gy = o.grad.data();
-        parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            float da = 0.0f;
-            float db = 0.0f;
-            bwd(xa[i], xb[i], gy[i], &da, &db);
-            if (ga != nullptr) ga[i] += da;
-            if (gb != nullptr) gb[i] += db;
-          }
-        });
+        for (int64_t i = 0; i < n; ++i) {
+          float da = 0.0f;
+          float db = 0.0f;
+          bwd(xa[i], xb[i], gy[i], &da, &db);
+          if (ga != nullptr) ga[i] += da;
+          if (gb != nullptr) gb[i] += db;
+        }
       },
       track);
   OpDesc d = Desc(Op::kBinary, static_cast<int>(code));
@@ -432,9 +411,7 @@ Tensor ElementwiseUnary(const Tensor& a, const char* name, Un code, Bwd bwd,
         const float* x = ia->data.data();
         const float* y = o.data.data();
         const float* gy = o.grad.data();
-        parallel::ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) ga[i] += bwd(x[i], y[i], gy[i]);
-        });
+        for (int64_t i = 0; i < n; ++i) ga[i] += bwd(x[i], y[i], gy[i]);
       },
       track);
   OpDesc d = Desc(Op::kUnary, static_cast<int>(code));
@@ -1089,18 +1066,16 @@ Tensor Softmax(const Tensor& a) {
         float* ga = ia->grad.data();
         const float* yd = o.data.data();
         const float* gyd = o.grad.data();
-        parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-          for (int64_t r = r0; r < r1; ++r) {
-            const float* y = yd + r * cols;
-            const float* dy = gyd + r * cols;
-            double dot = 0.0;
-            for (int64_t c = 0; c < cols; ++c) dot += static_cast<double>(dy[c]) * y[c];
-            float* g = ga + r * cols;
-            for (int64_t c = 0; c < cols; ++c) {
-              g[c] += y[c] * (dy[c] - static_cast<float>(dot));
-            }
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* y = yd + r * cols;
+          const float* dy = gyd + r * cols;
+          double dot = 0.0;
+          for (int64_t c = 0; c < cols; ++c) dot += static_cast<double>(dy[c]) * y[c];
+          float* g = ga + r * cols;
+          for (int64_t c = 0; c < cols; ++c) {
+            g[c] += y[c] * (dy[c] - static_cast<float>(dot));
           }
-        });
+        }
       },
       track);
   OpDesc d = Desc(Op::kSoftmax);
@@ -1124,34 +1099,30 @@ Tensor LogSoftmax(const Tensor& a) {
         float* ga = ia->grad.data();
         const float* yd = o.data.data();
         const float* gyd = o.grad.data();
-        parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-          for (int64_t r = r0; r < r1; ++r) {
-            const float* y = yd + r * cols;
-            const float* dy = gyd + r * cols;
-            double sum_dy = 0.0;
-            for (int64_t c = 0; c < cols; ++c) sum_dy += dy[c];
-            float* g = ga + r * cols;
-            for (int64_t c = 0; c < cols; ++c) {
-              g[c] += dy[c] - std::exp(y[c]) * static_cast<float>(sum_dy);
-            }
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* y = yd + r * cols;
+          const float* dy = gyd + r * cols;
+          double sum_dy = 0.0;
+          for (int64_t c = 0; c < cols; ++c) sum_dy += dy[c];
+          float* g = ga + r * cols;
+          for (int64_t c = 0; c < cols; ++c) {
+            g[c] += dy[c] - std::exp(y[c]) * static_cast<float>(sum_dy);
           }
-        });
+        }
       },
       track);
   float* po = out.data();
   const float* pa = a.data();
-  parallel::ParallelFor(0, rows, /*grain=*/64, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* x = &pa[r * cols];
-      float* y = &po[r * cols];
-      float mx = x[0];
-      for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
-      double denom = 0.0;
-      for (int64_t c = 0; c < cols; ++c) denom += std::exp(x[c] - mx);
-      const float lse = mx + static_cast<float>(std::log(denom));
-      for (int64_t c = 0; c < cols; ++c) y[c] = x[c] - lse;
-    }
-  });
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* x = &pa[r * cols];
+    float* y = &po[r * cols];
+    float mx = x[0];
+    for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
+    double denom = 0.0;
+    for (int64_t c = 0; c < cols; ++c) denom += std::exp(x[c] - mx);
+    const float lse = mx + static_cast<float>(std::log(denom));
+    for (int64_t c = 0; c < cols; ++c) y[c] = x[c] - lse;
+  }
   return out;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,15 +17,17 @@ namespace parallel {
 
 namespace {
 
-thread_local bool g_in_worker = false;
+/// True while the calling thread runs a task of a group, so a group started
+/// from inside that task runs inline instead of contending for the pool.
+thread_local bool g_in_task = false;
 
 /// Workers sleep on a condition variable between jobs; a job is a shared
-/// atomic chunk counter the main thread also drains (so one "extra" thread of
-/// useful work comes for free).
+/// atomic task counter the calling thread also drains (so one "extra" thread
+/// of useful work comes for free).
 ///
 /// Each Run gets its own heap-allocated Job whose counters are never reset:
 /// a straggler worker that captured a finished job sees next >= total and
-/// exits without touching the (long gone) chunk function, and the shared_ptr
+/// exits without touching the (long gone) task function, and the shared_ptr
 /// keeps the counters alive for it. Completion is signalled while holding
 /// mu_, so the waiter in Run can never miss the final notification.
 class Pool {
@@ -36,38 +40,40 @@ class Pool {
 
   ~Pool() { Shutdown(); }
 
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
   int num_threads() const { return requested_threads_; }
 
-  void Run(int64_t num_chunks, const std::function<void(int64_t)>& chunk_fn) {
-    if (num_chunks <= 0) return;
-    if (workers_.empty() || num_chunks == 1) {
-      for (int64_t c = 0; c < num_chunks; ++c) chunk_fn(c);
+  void Run(int64_t num_tasks, const std::function<void(int64_t)>& task_fn) {
+    if (num_tasks <= 0) return;
+    if (workers_.empty() || num_tasks == 1) {
+      for (int64_t i = 0; i < num_tasks; ++i) task_fn(i);
       return;
     }
     auto job = std::make_shared<Job>();
-    job->fn = &chunk_fn;
-    job->total = num_chunks;
+    job->fn = &task_fn;
+    job->total = num_tasks;
     {
       support::MutexLock lock(mu_);
       current_job_ = job;
       ++job_id_;
     }
-    // Wake only as many workers as there are chunks beyond the caller's own
+    // Wake only as many workers as there are tasks beyond the caller's own
     // share. The serving dispatcher flushes small task groups at a high
     // cadence; notify_all would stampede every idle worker through the mutex
-    // for a 2-chunk job they mostly cannot help with. A worker that is busy
+    // for a 2-task job they mostly cannot help with. A worker that is busy
     // (not waiting) when notified picks the job up anyway on its next
-    // predicate check, so targeted wakeups never strand work — and chunk
-    // RESULTS never depend on which thread claims them (see file comment).
-    const size_t wake = std::min(workers_.size(), static_cast<size_t>(num_chunks - 1));
+    // predicate check, so targeted wakeups never strand work.
+    const size_t wake = std::min(workers_.size(), static_cast<size_t>(num_tasks - 1));
     if (wake == workers_.size()) {
       cv_.NotifyAll();
     } else {
       for (size_t i = 0; i < wake; ++i) cv_.NotifyOne();
     }
     // The calling thread participates in the drain.
-    DrainChunks(*job);
-    // Wait for stragglers still inside chunk_fn on worker threads. chunk_fn
+    DrainTasks(*job);
+    // Wait for stragglers still inside task_fn on worker threads. task_fn
     // must stay alive until done == total, i.e. until this wait returns.
     support::MutexLock lock(mu_);
     while (job->done.load(std::memory_order_acquire) < job->total) {
@@ -97,11 +103,11 @@ class Pool {
     int64_t total = 0;
   };
 
-  void DrainChunks(Job& job) {
+  void DrainTasks(Job& job) {
     for (;;) {
-      int64_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job.total) return;
-      (*job.fn)(c);
+      int64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.total) return;
+      (*job.fn)(i);
       if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 >= job.total) {
         // Notify under the mutex: the waiter either hasn't evaluated its
         // predicate yet (and will now see done == total), or is blocked in
@@ -113,7 +119,6 @@ class Pool {
   }
 
   void WorkerLoop() {
-    g_in_worker = true;
     uint64_t seen_job = 0;
     for (;;) {
       std::shared_ptr<Job> job;
@@ -124,7 +129,7 @@ class Pool {
         seen_job = job_id_;
         job = current_job_;
       }
-      if (job != nullptr) DrainChunks(*job);
+      if (job != nullptr) DrainTasks(*job);
     }
   }
 
@@ -138,42 +143,18 @@ class Pool {
   bool shutdown_ ADAPTRAJ_GUARDED_BY(mu_) = false;
 };
 
-int EnvThreads(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-int DefaultThreads() { return EnvThreads("ADAPTRAJ_NUM_THREADS"); }
+// The no-env default is capped: a training task group carries at most
+// TrainConfig::accum_steps (default 4) tasks, so on a many-core host
+// uncapped hardware concurrency would only buy idle threads. An explicit
+// ADAPTRAJ_TRAIN_WORKERS value is taken as-is.
+constexpr int kDefaultTrainWorkerCap = 8;
 
 support::Mutex g_pool_mu;
 Pool* g_pool ADAPTRAJ_GUARDED_BY(g_pool_mu) = nullptr;
 
 Pool& GetPool() {
   support::MutexLock lock(g_pool_mu);
-  if (g_pool == nullptr) g_pool = new Pool(DefaultThreads());
-  return *g_pool;
-}
-
-// The training pool is a second Pool instance: same dynamic chunk claiming,
-// but a "chunk" is a whole micro-batch task. Kept separate from the kernel
-// pool so a task group can run while kernels stay available to a
-// single-worker caller. The no-env default is capped: a task group carries
-// at most TrainConfig::accum_steps (default 4) tasks, so on a many-core
-// host uncapped hardware concurrency would only buy idle threads woken by
-// every group's notify_all. An explicit ADAPTRAJ_TRAIN_WORKERS value is
-// taken as-is.
-constexpr int kDefaultTrainWorkerCap = 8;
-
-support::Mutex g_train_pool_mu;
-Pool* g_train_pool ADAPTRAJ_GUARDED_BY(g_train_pool_mu) = nullptr;
-
-Pool& GetTrainPool() {
-  support::MutexLock lock(g_train_pool_mu);
-  if (g_train_pool == nullptr) {
+  if (g_pool == nullptr) {
     // Only a valid explicit count (>= 1) escapes the cap; unset, zero, or
     // garbage values all take the capped hardware default.
     int n = 0;
@@ -184,68 +165,37 @@ Pool& GetTrainPool() {
       unsigned hw = std::thread::hardware_concurrency();
       n = hw == 0 ? 1 : std::min(static_cast<int>(hw), kDefaultTrainWorkerCap);
     }
-    g_train_pool = new Pool(n);
+    g_pool = new Pool(n);
   }
-  return *g_train_pool;
+  return *g_pool;
 }
 
 }  // namespace
 
-int NumThreads() { return GetPool().num_threads(); }
+int NumThreads() { return 1; }
 
-void Configure(int n) {
-  ADAPTRAJ_CHECK_MSG(n >= 1, "thread pool needs at least one thread; got " << n);
+int NumTrainWorkers() { return GetPool().num_threads(); }
+
+void ConfigureTrainWorkers(int n) {
+  ADAPTRAJ_CHECK_MSG(n >= 1, "worker pool needs at least one worker; got " << n);
   support::MutexLock lock(g_pool_mu);
   delete g_pool;
   g_pool = new Pool(n);
 }
 
-bool InWorkerThread() { return g_in_worker; }
-
-int NumTrainWorkers() { return GetTrainPool().num_threads(); }
-
-void ConfigureTrainWorkers(int n) {
-  ADAPTRAJ_CHECK_MSG(n >= 1, "training pool needs at least one worker; got " << n);
-  support::MutexLock lock(g_train_pool_mu);
-  delete g_train_pool;
-  g_train_pool = new Pool(n);
-}
-
 void RunTaskGroup(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  // Nested groups (a task spawning a group) and single-task groups run
-  // inline; so does the whole group when the pool is serial, which leaves
-  // the kernel pool fully available to the one training thread.
-  Pool& pool = GetTrainPool();
-  if (InWorkerThread() || pool.num_threads() == 1 || tasks.size() == 1) {
-    for (const auto& task : tasks) task();
-    return;
-  }
-  pool.Run(static_cast<int64_t>(tasks.size()), [&tasks](int64_t i) {
-    // Tasks claimed by the calling thread must also run their kernels
-    // inline, like the pool workers do, so the worker x kernel-thread
-    // product stays bounded by the configured worker count.
-    const bool saved = g_in_worker;
-    g_in_worker = true;
+  const std::function<void(int64_t)> run = [&tasks](int64_t i) {
+    const bool saved = g_in_task;
+    g_in_task = true;
     tasks[static_cast<size_t>(i)]();
-    g_in_worker = saved;
-  });
-}
-
-void ParallelForSlow(int64_t begin, int64_t end, int64_t grain,
-                     const std::function<void(int64_t, int64_t)>& body) {
-  // The template fast path already handled empty and single-chunk ranges.
-  const int64_t num_chunks = (end - begin + grain - 1) / grain;
-  Pool& pool = GetPool();
-  if (pool.num_threads() == 1) {
-    body(begin, end);
+    g_in_task = saved;
+  };
+  const auto num_tasks = static_cast<int64_t>(tasks.size());
+  if (g_in_task) {
+    for (int64_t i = 0; i < num_tasks; ++i) run(i);
     return;
   }
-  pool.Run(num_chunks, [&](int64_t c) {
-    const int64_t lo = begin + c * grain;
-    const int64_t hi = std::min(end, lo + grain);
-    body(lo, hi);
-  });
+  GetPool().Run(num_tasks, run);
 }
 
 }  // namespace parallel

@@ -294,18 +294,50 @@ TEST(InferenceEngineTest, MalformedRequestsFailTypedWithoutHurtingBatchMates) {
 
 // --- API misuse --------------------------------------------------------------
 
-TEST(InferenceEngineDeathTest, DuplicateRequestIdDies) {
-  // The engine owns a live dispatcher thread, so the default fork()-based
-  // death test could inherit a locked mutex; re-exec instead.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(InferenceEngineTest, DuplicateRequestIdFailsTypedWithoutHurtingTheFirst) {
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
-  auto scenes = Scenes(1);
-  InferenceEngine engine(&method, Options(/*batch_size=*/4));
-  engine.Submit(7, scenes[0]);
-  EXPECT_DEATH(engine.Submit(7, scenes[0]), "duplicate request id");
+  auto scenes = Scenes(2);
+  const auto reference = Serve(method, scenes, Options(/*batch_size=*/2));
+
+  InferenceEngine engine(&method, Options(/*batch_size=*/2));
+  std::future<Tensor> first = engine.Submit(0, scenes[0]);
+  // Same id, different scene: must not replace or disturb the queued one.
+  std::future<Tensor> duplicate = engine.Submit(0, scenes[1]);
+  EXPECT_THROW(duplicate.get(), InvalidRequestError);
+  std::future<Tensor> second = engine.Submit(1, scenes[1]);
+  engine.Drain();
+  std::vector<std::vector<float>> got;
+  for (auto* f : {&first, &second}) {
+    Tensor t = f->get();
+    got.emplace_back(t.data(), t.data() + t.size());
+  }
+  ExpectAllEqual(reference, got);
+
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requests, 3);
+  EXPECT_EQ(stats.invalid_requests, 1);
+  EXPECT_EQ(stats.rejected_requests, 0);
+}
+
+TEST(InferenceEngineTest, IdOfAnExecutedBatchFailsTypedWithoutDeadline) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  auto scenes = Scenes(2);
+  InferenceEngine engine(&method, Options(/*batch_size=*/2));
+  std::future<Tensor> a = engine.Submit(0, scenes[0]);
+  std::future<Tensor> b = engine.Submit(1, scenes[1]);
+  engine.Drain();
+  a.get();
+  b.get();
+  std::future<Tensor> stale = engine.Submit(1, scenes[1]);
+  EXPECT_THROW(stale.get(), ServeError);
+  const InferenceEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.rejected_requests, 1);
+  EXPECT_EQ(stats.invalid_requests, 0);
 }
 
 TEST(InferenceEngineDeathTest, DrainWithSlotGapDies) {
+  // The engine owns a live dispatcher thread, so the default fork()-based
+  // death test could inherit a locked mutex; re-exec instead.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   auto scenes = Scenes(1);

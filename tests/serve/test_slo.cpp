@@ -616,9 +616,11 @@ TEST(PoissonLoadTest, OverloadWithSheddingKeepsTheQueueBounded) {
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   // An offered rate far past this tiny model's capacity: without admission
   // control the queue would grow with offered load; with kShed it must hold
-  // at the bound, with the excess accounted as shed.
+  // at the bound, with the excess accounted as shed. All 200 arrivals land
+  // within ~0.2 ms, well before a few batches can finish on any host (at
+  // 20,000/s a 4-worker pool kept up often enough to shed nothing).
   eval::PoissonLoadOptions load;
-  load.arrivals_per_sec = 20000.0;
+  load.arrivals_per_sec = 1000000.0;
   load.num_requests = 200;
   load.batch_size = 4;
   load.max_batch_delay_ms = 1;

@@ -2,9 +2,10 @@
 // reference, BatchMatMul gradchecks across every transpose variant and batch
 // size (including B = 0), equivalence with the per-slice Slice/MatMul/
 // Transpose/Concat formulation it replaced, the 3-D last-axis Softmax path,
-// and bit-determinism of the batched attention pipeline across thread counts.
+// and bit-determinism of the batched attention pipeline on pool workers.
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,26 +62,6 @@ TEST(BatchGemmTest, MatchesNaiveAllTransposeVariants) {
         }
       }
     }
-  }
-}
-
-TEST(BatchGemmTest, ParallelBitIdenticalToSerial) {
-  Rng rng(22);
-  const int64_t batch = 5, m = 40, n = 24, k = 32;
-  std::vector<float> a = RandomVec(batch * m * k, &rng);
-  std::vector<float> b = RandomVec(batch * k * n, &rng);
-  std::vector<float> serial(batch * m * n), threaded(batch * m * n);
-
-  parallel::Configure(1);
-  kernels::BatchGemm(false, false, batch, m, n, k, a.data(), b.data(),
-                     serial.data(), false);
-  parallel::Configure(4);
-  kernels::BatchGemm(false, false, batch, m, n, k, a.data(), b.data(),
-                     threaded.data(), false);
-  parallel::Configure(1);
-
-  for (int64_t i = 0; i < batch * m * n; ++i) {
-    ASSERT_EQ(serial[i], threaded[i]) << "bitwise mismatch at " << i;
   }
 }
 
@@ -241,11 +222,10 @@ TEST(ConcatTest, ZeroExtentPartsFlowThrough) {
   EXPECT_EQ(d.shape(), (Shape{0, 3, 4}));
 }
 
-// --- Batched attention determinism across thread counts ----------------------
+// --- Batched attention determinism on pool workers -----------------------------
 
-TEST(BatchMatMulTest, AttentionPipelineBitDeterministicAcrossThreadCounts) {
-  auto run = [](int threads, std::vector<float>* out, std::vector<float>* grad) {
-    parallel::Configure(threads);
+TEST(BatchMatMulTest, AttentionPipelineBitDeterministicAcrossTrainWorkers) {
+  auto run = [](std::vector<float>* out, std::vector<float>* grad) {
     Rng rng(321);
     const int64_t b = 4, t = 6, d = 32;
     Tensor q = Leaf({b, t, d}, &rng);
@@ -259,14 +239,26 @@ TEST(BatchMatMulTest, AttentionPipelineBitDeterministicAcrossThreadCounts) {
     Tensor gq = q.grad();
     grad->assign(gq.data(), gq.data() + gq.size());
   };
-  std::vector<float> y1, g1, y4, g4;
-  run(1, &y1, &g1);
-  run(4, &y4, &g4);
-  parallel::Configure(1);
-  ASSERT_EQ(y1.size(), y4.size());
-  for (size_t i = 0; i < y1.size(); ++i) ASSERT_EQ(y1[i], y4[i]) << "fwd " << i;
-  ASSERT_EQ(g1.size(), g4.size());
-  for (size_t i = 0; i < g1.size(); ++i) ASSERT_EQ(g1[i], g4[i]) << "bwd " << i;
+  // The reference runs on the test thread; each copy in a task group runs on
+  // whichever worker claims it, with that worker's own buffer pool.
+  std::vector<float> y_ref, g_ref;
+  run(&y_ref, &g_ref);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    parallel::ConfigureTrainWorkers(workers);
+    constexpr int kCopies = 6;
+    std::vector<std::vector<float>> y(kCopies), g(kCopies);
+    std::vector<std::function<void()>> tasks;
+    for (int c = 0; c < kCopies; ++c) {
+      tasks.push_back([&, c] { run(&y[c], &g[c]); });
+    }
+    parallel::RunTaskGroup(tasks);
+    for (int c = 0; c < kCopies; ++c) {
+      ASSERT_EQ(y[c], y_ref) << "fwd, copy " << c;
+      ASSERT_EQ(g[c], g_ref) << "bwd, copy " << c;
+    }
+  }
+  parallel::ConfigureTrainWorkers(1);
 }
 
 }  // namespace

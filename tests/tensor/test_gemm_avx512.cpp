@@ -1,8 +1,8 @@
 // AVX-512 GEMM dispatch verification: exactness of the 8x32 micro-kernel
 // against the naive reference and the portable 4x16 kernel across a ragged
-// shape grid, degenerate shapes on every transpose variant, bit-determinism
-// across thread counts on both paths, plan pre-packing round trips, and the
-// 64-byte storage-alignment guarantee the kernels rely on.
+// shape grid, degenerate shapes on every transpose variant, plan pre-packing
+// round trips, and the 64-byte storage-alignment guarantee the kernels rely
+// on.
 //
 // Tests that force GemmPath::kAvx512 skip themselves when the override does
 // not resolve to the AVX-512 path (not compiled in, or the CPU lacks it) —
@@ -21,7 +21,6 @@
 #include "tensor/aligned_buffer.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 #include "tensor/tensor.h"
 
 namespace adaptraj {
@@ -250,31 +249,6 @@ TEST(GemmAvx512Test, ShapeAwareAutoDispatch) {
   }
 }
 
-// --- Thread-count bit-determinism --------------------------------------------
-
-TEST(GemmAvx512Test, ThreadCountBitIdenticalBothPaths) {
-  Lcg rng(0x5eed0005u);
-  const int64_t m = 129, n = 97, k = 63;
-  std::vector<float> a(m * k), b(k * n);
-  rng.Fill(&a);
-  rng.Fill(&b);
-  for (auto path : {kernels::GemmPath::kPortable, kernels::GemmPath::kAvx512}) {
-    if (path == kernels::GemmPath::kAvx512 && !Avx512Selectable()) continue;
-    ScopedGemmPath p(path);
-    std::vector<float> serial(m * n), threaded(m * n);
-    parallel::Configure(1);
-    kernels::Gemm(false, true, m, n, k, a.data(), b.data(), serial.data(),
-                  false);
-    parallel::Configure(4);
-    kernels::Gemm(false, true, m, n, k, a.data(), b.data(), threaded.data(),
-                  false);
-    parallel::Configure(1);
-    ASSERT_EQ(0, std::memcmp(serial.data(), threaded.data(),
-                             sizeof(float) * m * n))
-        << "path=" << static_cast<int>(path);
-  }
-}
-
 // --- Plan pre-packing: both layouts, fused epilogues -------------------------
 
 TEST(GemmAvx512Test, PlanGemmMatchesEagerChainBothLayouts) {
@@ -351,34 +325,6 @@ TEST(GemmAvx512Test, PlanGemmSingleProductNoBias) {
       ASSERT_NEAR(c[i], ref[i], 1e-4f)
           << "path=" << static_cast<int>(path) << " i=" << i;
     }
-  }
-}
-
-TEST(GemmAvx512Test, PlanGemmThreadCountBitIdentical) {
-  Lcg rng(0x5eed0008u);
-  const int64_t m = 65, n = 64, k = 32;
-  std::vector<float> x(m * k), w(k * n), bias(n);
-  rng.Fill(&x);
-  rng.Fill(&w);
-  rng.Fill(&bias);
-  for (auto path : {kernels::GemmPath::kPortable, kernels::GemmPath::kAvx512}) {
-    if (path == kernels::GemmPath::kAvx512 && !Avx512Selectable()) continue;
-    std::vector<float> wp(kernels::PlanPackedSize(k, n, path));
-    std::vector<float> bp(kernels::PlanPackedBiasSize(n, path));
-    kernels::PlanPackWeightFor(w.data(), k, n, path, wp.data());
-    kernels::PlanPackBiasFor(bias.data(), n, path, bp.data());
-    std::vector<float> serial(m * n), threaded(m * n);
-    parallel::Configure(1);
-    kernels::PlanGemm(m, n, k, x.data(), wp.data(), 0, nullptr, nullptr,
-                      bp.data(), kernels::PlanAct::kTanh, serial.data(), path);
-    parallel::Configure(4);
-    kernels::PlanGemm(m, n, k, x.data(), wp.data(), 0, nullptr, nullptr,
-                      bp.data(), kernels::PlanAct::kTanh, threaded.data(),
-                      path);
-    parallel::Configure(1);
-    ASSERT_EQ(0, std::memcmp(serial.data(), threaded.data(),
-                             sizeof(float) * m * n))
-        << "path=" << static_cast<int>(path);
   }
 }
 

@@ -1,7 +1,7 @@
-// Kernel-layer verification: the blocked/parallel GEMM against the serial
-// reference, gradchecks for the fused LinearGates / LSTM-cell ops, equivalence
-// of the fused LSTM step with the composed-op formulation, thread-pool
-// determinism, and buffer-pool reuse accounting.
+// Kernel-layer verification: the blocked GEMM against the serial reference,
+// gradchecks for the fused LinearGates / LSTM-cell ops, equivalence of the
+// fused LSTM step with the composed-op formulation, run-to-run determinism,
+// and buffer-pool reuse accounting.
 
 #include <cmath>
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "tensor/gradcheck.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace adaptraj {
 namespace {
@@ -66,28 +65,9 @@ TEST(KernelsTest, GemmMatchesNaiveAllTransposeVariants) {
   }
 }
 
-TEST(KernelsTest, GemmParallelBitIdenticalToSerial) {
-  Rng rng(11);
-  const int64_t m = 128, n = 96, k = 64;
-  std::vector<float> a = RandomVec(m * k, &rng);
-  std::vector<float> b = RandomVec(k * n, &rng);
-  std::vector<float> serial(m * n), threaded(m * n);
+// --- Seed determinism ----------------------------------------------------------
 
-  parallel::Configure(1);
-  kernels::Gemm(false, false, m, n, k, a.data(), b.data(), serial.data(), false);
-  parallel::Configure(4);
-  kernels::Gemm(false, false, m, n, k, a.data(), b.data(), threaded.data(), false);
-  parallel::Configure(1);
-
-  for (int64_t i = 0; i < m * n; ++i) {
-    ASSERT_EQ(serial[i], threaded[i]) << "bitwise mismatch at " << i;
-  }
-}
-
-// --- Seed determinism under the thread pool ---------------------------------
-
-TEST(KernelsTest, LstmStepDeterministicAcrossRunsUnderThreadPool) {
-  parallel::Configure(4);
+TEST(KernelsTest, LstmStepDeterministicAcrossRuns) {
   auto run = [](std::vector<float>* h_out, std::vector<float>* grad_out) {
     Rng rng(123);  // same seed both runs
     Tensor x = Leaf({32, 16}, &rng);
@@ -107,7 +87,6 @@ TEST(KernelsTest, LstmStepDeterministicAcrossRunsUnderThreadPool) {
   std::vector<float> h_a, g_a, h_b, g_b;
   run(&h_a, &g_a);
   run(&h_b, &g_b);
-  parallel::Configure(1);
   ASSERT_EQ(h_a.size(), h_b.size());
   for (size_t i = 0; i < h_a.size(); ++i) ASSERT_EQ(h_a[i], h_b[i]);
   ASSERT_EQ(g_a.size(), g_b.size());

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace adaptraj {
 namespace {
@@ -324,7 +323,7 @@ struct CoverageInputs {
   Tensor wg, bg;     // [8, 32], [1, 32]
   Tensor a, at;      // [2, 3, 4], [2, 4, 3]
   Tensor b, bt;      // [2, 4, 5], [2, 5, 4]
-  Tensor big;        // [130, 128]: above the 16,384-element elementwise grain
+  Tensor big;        // [130, 128]: a large elementwise operand
 
   explicit CoverageInputs(float s)
       : x(Iota({6, 8}, 0.25f * s)),
@@ -433,36 +432,27 @@ Tensor CoverageBody(const CoverageInputs& in, const CoverageConstants& k,
 }
 
 TEST_F(PlanTest, EveryRecordableOpReplaysBitIdentically) {
-  const int threads_before = parallel::NumThreads();
   const CoverageConstants k;
   const CoverageInputs in1(1.0f), in2(-1.5f);
-  std::vector<Tensor> replayed_by_threads;
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    parallel::Configure(threads);
-    plan::SetMode(plan::Mode::kOn);
-    plan::PlanCache cache;
-    Rng planned_rng(7);
-    Tensor captured = RunPlanned(&cache, "k", in1.List(), &planned_rng, [&] {
-      return CoverageBody(in1, k, &planned_rng);
-    });
-    Tensor replayed = RunPlanned(&cache, "k", in2.List(), &planned_rng, [&] {
-      return CoverageBody(in2, k, &planned_rng);
-    });
-    plan::CacheStats s = cache.stats();
-    EXPECT_EQ(s.captures, 1);
-    EXPECT_EQ(s.hits, 1);
-    EXPECT_EQ(s.aborted, 0);
-    EXPECT_GT(s.fused_steps, 0);
+  plan::SetMode(plan::Mode::kOn);
+  plan::PlanCache cache;
+  Rng planned_rng(7);
+  Tensor captured = RunPlanned(&cache, "k", in1.List(), &planned_rng, [&] {
+    return CoverageBody(in1, k, &planned_rng);
+  });
+  Tensor replayed = RunPlanned(&cache, "k", in2.List(), &planned_rng, [&] {
+    return CoverageBody(in2, k, &planned_rng);
+  });
+  plan::CacheStats s = cache.stats();
+  EXPECT_EQ(s.captures, 1);
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.aborted, 0);
+  EXPECT_GT(s.fused_steps, 0);
 
-    plan::SetMode(plan::Mode::kOff);
-    Rng eager_rng(7);
-    ExpectBitIdentical(captured, CoverageBody(in1, k, &eager_rng));
-    ExpectBitIdentical(replayed, CoverageBody(in2, k, &eager_rng));
-    replayed_by_threads.push_back(replayed);
-  }
-  ExpectBitIdentical(replayed_by_threads[0], replayed_by_threads[1]);
-  parallel::Configure(threads_before);
+  plan::SetMode(plan::Mode::kOff);
+  Rng eager_rng(7);
+  ExpectBitIdentical(captured, CoverageBody(in1, k, &eager_rng));
+  ExpectBitIdentical(replayed, CoverageBody(in2, k, &eager_rng));
 }
 
 TEST_F(PlanTest, OpWithoutAStepAbortsToEager) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """AST-light determinism lint: nondeterminism hazards the generic tools miss.
 
-The repo's reproduction contract is bit-identical outputs across thread
-counts, worker counts, and cache on/off (see tensor/parallel.h). Clang's
+The repo's reproduction contract is bit-identical outputs across worker
+counts and cache on/off (see tensor/parallel.h). Clang's
 thread-safety analysis and TSan guard the LOCK discipline behind that
 contract; this lint guards the SOURCE discipline — the handful of C++ and
 Python constructs that silently smuggle nondeterminism into an
