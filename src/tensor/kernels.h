@@ -240,8 +240,7 @@ void PlanGemm(int64_t m, int64_t n, int64_t k, const float* a,
 
 /// Fused LstmCellForwardC + LstmCellForwardH: one pass over the [B, 4H] gate
 /// buffer producing both c_next and h_next, with tanh(c_next) computed from
-/// the in-register value. Same activation path and row chunking as the
-/// separate kernels.
+/// the in-register value. Same activation path as the separate kernels.
 void LstmCellForwardCH(const float* gates, const float* c_prev, int64_t batch,
                        int64_t hidden, float* c_next, float* h_next);
 
